@@ -15,7 +15,7 @@
 #include "coding/tornado.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 namespace {
 
@@ -177,7 +177,7 @@ Row measureTornado(std::uint32_t k, std::uint32_t trials, Rng& rng) {
 }  // namespace
 
 int main() {
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(5);
+  const std::uint32_t trials = core::RunEnv::trials(5);
   Rng rng(71);
   std::printf("Ablation: coding algorithm choice (§5.2.1)\n\n");
   for (const std::uint32_t k : {256u, 1024u}) {

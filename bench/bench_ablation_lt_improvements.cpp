@@ -14,13 +14,13 @@
 #include "coding/lt_graph.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 int main() {
   using namespace robustore;
   const std::uint32_t k = 1024;
   const std::uint32_t n = 4096;
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(20);
+  const std::uint32_t trials = core::RunEnv::trials(20);
   Rng rng(72);
 
   // --- (1) decodability guarantee -----------------------------------------

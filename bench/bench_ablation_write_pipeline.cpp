@@ -10,12 +10,12 @@
 #include "client/robustore_scheme.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "sim/engine.hpp"
 
 int main() {
   using namespace robustore;
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(8);
+  const std::uint32_t trials = core::RunEnv::trials(8);
 
   std::printf("Ablation: speculative-write pipeline depth (64 disks, 1 GB, "
               "3x redundancy, 10 ms RTT)\n\n");

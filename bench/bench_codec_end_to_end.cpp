@@ -11,12 +11,12 @@
 #include "client/robustore_scheme.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "sim/engine.hpp"
 
 int main() {
   using namespace robustore;
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(10);
+  const std::uint32_t trials = core::RunEnv::trials(10);
 
   std::printf("RobuSTore end-to-end with different rateless codecs "
               "(1 GB, 64 disks, 3x redundancy, %u trials)\n\n",

@@ -25,7 +25,7 @@ inline void banner(const char* id, const char* title) {
 }
 
 inline std::uint32_t defaultTrials(std::uint32_t fallback = 10) {
-  return core::ExperimentRunner::trialsFromEnv(fallback);
+  return core::RunEnv::trials(fallback);
 }
 
 /// One metric series across a swept parameter, printed per scheme —
@@ -81,7 +81,7 @@ inline core::ExperimentConfig baselineConfig() {
   // ROBUSTORE_SAMPLE_DT=<ms> turns on per-trial telemetry sampling. The
   // sampler rides the engine's time observer (zero events, zero rng
   // draws), so every figure is bit-identical with sampling on or off.
-  cfg.sample_dt = telemetry::sampleDtFromEnv();
+  cfg.sample_dt = core::RunEnv::sampleDt();
   // ROBUSTORE_FLIGHT=1 attaches the always-on flight recorder to every
   // trial. It schedules no events and draws no rng, so simulated results
   // stay bitwise identical — but collect() then has per-access stage

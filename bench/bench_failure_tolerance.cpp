@@ -10,12 +10,12 @@
 #include "client/scheme.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "sim/engine.hpp"
 
 int main() {
   using namespace robustore;
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(10);
+  const std::uint32_t trials = core::RunEnv::trials(10);
 
   client::AccessConfig access;
   access.k = 128;  // 128 MB

@@ -9,7 +9,7 @@
 #include "coding/lt_graph.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 namespace {
 
@@ -40,7 +40,7 @@ RunningStats receptionOverhead(std::uint32_t k, double c, double delta,
 
 int main() {
   const std::uint32_t trials =
-      core::ExperimentRunner::trialsFromEnv(20);
+      core::RunEnv::trials(20);
   Rng rng(51);
   std::printf("Figure 5-1: Reception overhead of LT codes "
               "(%u arrival orders per point)\n\n",

@@ -10,13 +10,13 @@
 #include "coding/lt_graph.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 int main() {
   using namespace robustore;
   const std::uint32_t k = 1024;
   const std::uint32_t n = 4 * k;
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(20);
+  const std::uint32_t trials = core::RunEnv::trials(20);
   Rng rng(52);
 
   std::printf("Figure 5-2: edges used on LT decoding (K=%u, %u orders)\n\n",

@@ -12,7 +12,7 @@
 #include "coding/lt_graph.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 int main() {
   using namespace robustore;
@@ -22,7 +22,7 @@ int main() {
   // 64 KiB blocks keep the working set laptop-friendly (64 MB of data);
   // per-byte decode cost is what the figure measures.
   const Bytes block = 64 * kKiB;
-  const std::uint32_t reps = core::ExperimentRunner::trialsFromEnv(3);
+  const std::uint32_t reps = core::RunEnv::trials(3);
 
   Rng rng(53);
   std::vector<std::uint8_t> data(static_cast<std::size_t>(k) * block);

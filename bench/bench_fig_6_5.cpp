@@ -8,7 +8,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "disk/disk.hpp"
 #include "disk/layout.hpp"
 #include "sim/engine.hpp"
@@ -69,7 +69,7 @@ Point measure(SimTime interval, std::uint32_t trials) {
 }  // namespace
 
 int main() {
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(10);
+  const std::uint32_t trials = core::RunEnv::trials(10);
   std::printf("Figure 6-5: background workload impact (%u trials/point)\n\n",
               trials);
   std::printf("%16s %18s %22s\n", "interval (ms)", "bg utilisation",

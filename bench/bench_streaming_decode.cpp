@@ -21,7 +21,7 @@
 #include "reporter.hpp"
 #include "client/robustore_scheme.hpp"
 #include "common/rng.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/host_profiler.hpp"
@@ -45,7 +45,7 @@ struct ModeResult {
 }  // namespace
 
 int main() {
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(5);
+  const std::uint32_t trials = core::RunEnv::trials(5);
 
   client::AccessConfig access;
   access.block_bytes = 256 * kKiB;

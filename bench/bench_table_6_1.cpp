@@ -7,7 +7,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "disk/disk.hpp"
 #include "disk/layout.hpp"
 #include "sim/engine.hpp"
@@ -41,7 +41,7 @@ double measure(std::uint32_t bf, double pseq, std::uint32_t trials) {
 }  // namespace
 
 int main() {
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(10);
+  const std::uint32_t trials = core::RunEnv::trials(10);
   std::printf("Table 6-1: average disk bandwidth (MBps) vs in-disk layout "
               "(%u trials per cell)\n\n",
               trials);

@@ -9,11 +9,11 @@
 #include "coding/update.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 int main() {
   using namespace robustore;
-  const std::uint32_t trials = core::ExperimentRunner::trialsFromEnv(5);
+  const std::uint32_t trials = core::RunEnv::trials(5);
   Rng rng(73);
 
   std::printf("Update access cost (§4.3.4)\n\n");

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 int main() {
   using namespace robustore;
@@ -19,7 +20,7 @@ int main() {
   cfg.access.block_bytes = 1 * kMiB;
   cfg.access.redundancy = 3.0;
   cfg.background = core::ExperimentConfig::Background::kHeterogeneous;
-  cfg.trials = core::ExperimentRunner::trialsFromEnv(8);
+  cfg.trials = core::RunEnv::trials(8);
 
   core::ExperimentRunner runner(cfg);
   std::printf("%-10s %14s %16s %18s %14s\n", "scheme", "MBps",

@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
+#include "core/run_env.hpp"
 
 int main() {
   using namespace robustore;
@@ -21,7 +22,7 @@ int main() {
     core::ExperimentConfig cfg;
     cfg.access.k = 128;  // 128 MB
     cfg.round_trip = ms * kMilliseconds;
-    cfg.trials = core::ExperimentRunner::trialsFromEnv(6);
+    cfg.trials = core::RunEnv::trials(6);
     core::ExperimentRunner runner(cfg);
     std::printf("%-8s", (std::to_string(static_cast<int>(ms)) + "ms").c_str());
     for (const auto& result : runner.runAll()) {

@@ -25,8 +25,12 @@ struct RRaidScheme::AdaptiveReadState {
   std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> pos_to_block;
   /// Per placement: block id -> stored_pos (membership lookup for steals).
   std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> block_to_pos;
-  /// Per placement: requests pending delivery, by stored position.
-  std::vector<std::map<std::uint32_t, Scheme::TrackedHandle>> pending;
+  /// Per placement: requests pending delivery, by stored position. Weak:
+  /// each request's callbacks hold this state, so strong handles would
+  /// form a cycle that leaks whenever an access ends with requests still
+  /// listed (a disk holding several copies of one block, a timeout).
+  std::vector<std::map<std::uint32_t, std::weak_ptr<Scheme::TrackedRead>>>
+      pending;
   /// Per placement: stored position of the last request issued, for
   /// physical-contiguity tracking (-1 = none).
   std::vector<std::int64_t> last_requested;
@@ -238,7 +242,7 @@ void RRaidScheme::adaptiveSteal(Session& session, StoredFile& file,
     const auto block = state->pos_to_block[victim].at(victim_pos);
     auto it = state->pending[victim].find(victim_pos);
     if (it != state->pending[victim].end()) {
-      cancelTracked(session, it->second);
+      cancelTracked(session, it->second.lock());
       state->pending[victim].erase(it);
     }
     adaptiveRequest(session, file, config, idle_placement,

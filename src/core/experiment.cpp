@@ -1,14 +1,12 @@
 #include "core/experiment.hpp"
 
-#include <iterator>
-#include <limits>
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/expects.hpp"
-#include "core/run_env.hpp"
 #include "core/telemetry_probes.hpp"
 #include "core/trial_pool.hpp"
 
@@ -63,6 +61,60 @@ Rng faultRng(const ExperimentConfig& config, std::uint32_t trial_index) {
              trial_index + 1);
 }
 
+/// The trial's access disks. The trial stream first redraws per-access
+/// heterogeneous background intervals (§6.3.2), then picks the disks:
+/// uniformly at random, or through the metadata server's §5.3.1 policy.
+std::vector<std::uint32_t> selectTrialDisks(const ExperimentConfig& config,
+                                            client::Cluster& cluster,
+                                            Rng& trial_rng) {
+  if (config.background == ExperimentConfig::Background::kHeterogeneous) {
+    cluster.randomizeBackground(config.bg_interval_min, config.bg_interval_max,
+                                trial_rng);
+  }
+  return config.metadata_disk_selection
+             ? cluster.metadata().selectDisks(config.disks_per_access,
+                                              meta::QosOptions{}, trial_rng)
+             : cluster.selectDisks(config.disks_per_access, trial_rng);
+}
+
+struct TrialAccess {
+  metrics::AccessMetrics metrics;
+  /// A read-after-write whose write did not complete: `metrics` are the
+  /// write's, and no read followed.
+  bool write_failed = false;
+};
+
+/// The one access a trial performs (config.op). `reused`, when non-null,
+/// holds a reuse_file read's file across coupled trials: planned on first
+/// use, read again by every later trial.
+TrialAccess runAccess(const ExperimentConfig& config, client::Scheme& scheme,
+                      std::span<const std::uint32_t> disks, Rng& trial_rng,
+                      std::optional<client::StoredFile>* reused) {
+  switch (config.op) {
+    case ExperimentConfig::Op::kRead: {
+      std::optional<client::StoredFile> fresh;
+      auto& file = reused != nullptr ? *reused : fresh;
+      if (!file) {
+        file = scheme.planFile(config.access, disks, config.layout, trial_rng);
+      }
+      return {scheme.read(*file, config.access)};
+    }
+    case ExperimentConfig::Op::kWrite:
+      return {scheme.write(config.access, disks, config.layout, trial_rng)};
+    case ExperimentConfig::Op::kReadAfterWrite: {
+      client::StoredFile file;
+      const metrics::AccessMetrics wm = scheme.write(
+          config.access, disks, config.layout, trial_rng, &file);
+      if (!wm.complete) return {wm, true};
+      if (config.redraw_layout_after_write) {
+        file.redrawLayouts(config.layout, trial_rng);
+      }
+      return {scheme.read(file, config.access)};
+    }
+  }
+  return {};
+}
+
 /// Arms the trial's fault schedule against its selected access disks.
 void armFaults(const ExperimentConfig& config, std::uint32_t trial_index,
                client::Cluster& cluster,
@@ -109,10 +161,6 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config)
       "cannot access more disks than the cluster has");
 }
 
-std::uint32_t ExperimentRunner::trialsFromEnv(std::uint32_t fallback) {
-  return RunEnv::trials(fallback);
-}
-
 metrics::AccessMetrics ExperimentRunner::runTrial(
     const ExperimentConfig& config, client::SchemeKind kind,
     std::uint32_t trial_index, trace::Tracer* trace_out,
@@ -149,11 +197,7 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
   }
 
   Rng trial_rng = trialRng(config, trial_index);
-  if (config.background == ExperimentConfig::Background::kHeterogeneous) {
-    cluster.randomizeBackground(config.bg_interval_min, config.bg_interval_max,
-                                trial_rng);
-  }
-  const auto disks = cluster.selectDisks(config.disks_per_access, trial_rng);
+  const auto disks = selectTrialDisks(config, cluster, trial_rng);
   std::optional<fault::FaultInjector> injector;
   armFaults(config, trial_index, cluster, disks, injector);
   if (tracer && injector) injector->setTracer(&*tracer);
@@ -179,32 +223,8 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
     sampler->sampleNow(engine.now());  // t=0 baseline
   }
 
-  metrics::AccessMetrics m;
-  switch (config.op) {
-    case ExperimentConfig::Op::kRead: {
-      client::StoredFile file =
-          scheme->planFile(config.access, disks, config.layout, trial_rng);
-      m = scheme->read(file, config.access);
-      break;
-    }
-    case ExperimentConfig::Op::kWrite:
-      m = scheme->write(config.access, disks, config.layout, trial_rng);
-      break;
-    case ExperimentConfig::Op::kReadAfterWrite: {
-      client::StoredFile file;
-      const metrics::AccessMetrics wm = scheme->write(
-          config.access, disks, config.layout, trial_rng, &file);
-      if (!wm.complete) {
-        m = wm;
-        break;
-      }
-      if (config.redraw_layout_after_write) {
-        file.redrawLayouts(config.layout, trial_rng);
-      }
-      m = scheme->read(file, config.access);
-      break;
-    }
-  }
+  const metrics::AccessMetrics m =
+      runAccess(config, *scheme, disks, trial_rng, nullptr).metrics;
   if (sampler) {
     sampler->sampleNow(engine.now());  // final drained state
     engine.setTimeObserver(nullptr);
@@ -219,172 +239,37 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
   return m;
 }
 
-unsigned ExperimentRunner::resolveThreads(const RunOptions& options,
-                                          std::uint32_t jobs) const {
-  unsigned threads =
-      options.threads == 0 ? TrialPool::defaultThreads() : options.threads;
-  if (threads > jobs) threads = jobs;
-  return threads == 0 ? 1 : threads;
-}
-
-metrics::AccessAggregate ExperimentRunner::run(client::SchemeKind kind,
-                                               const RunOptions& options) {
-  if (trialsAreCoupled(config_)) return runCoupled(kind, options);
-
-  std::vector<metrics::AccessMetrics> per_trial(config_.trials);
-  const bool want_flight = config_.flight && options.on_flight != nullptr;
-  std::vector<std::unique_ptr<trace::FlightRecorder>> flights;
-  if (want_flight) flights.resize(config_.trials);
-  const auto runCell = [&](std::uint32_t t) {
-    if (want_flight) {
-      flights[t] =
-          std::make_unique<trace::FlightRecorder>(config_.flight_config);
-    }
-    per_trial[t] = runTrial(config_, kind, t, nullptr, nullptr,
-                            want_flight ? flights[t].get() : nullptr);
-  };
-  const unsigned threads = resolveThreads(options, config_.trials);
-  if (threads <= 1) {
-    for (std::uint32_t t = 0; t < config_.trials; ++t) runCell(t);
-  } else {
-    TrialPool pool(threads);
-    pool.forEachIndex(config_.trials, runCell);
-  }
-
-  // Ordered reduction: identical to the serial loop for any thread count.
-  metrics::AccessAggregate agg;
-  for (std::uint32_t t = 0; t < config_.trials; ++t) {
-    if (options.on_trial) options.on_trial(kind, t, per_trial[t]);
-    if (want_flight) options.on_flight(kind, t, *flights[t]);
-    agg.add(per_trial[t]);
-  }
-  return agg;
-}
-
-std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runAll(
-    const RunOptions& options) {
-  std::vector<SchemeResult> results;
-  if (trialsAreCoupled(config_)) {
-    for (const auto kind : kSchemeOrder) {
-      results.push_back(SchemeResult{kind, runCoupled(kind, options)});
-    }
-    return results;
-  }
-
-  // Fan the whole scheme x trial grid out at once so slow schemes do not
-  // serialize behind fast ones.
-  constexpr std::uint32_t kNumSchemes =
-      static_cast<std::uint32_t>(std::size(kSchemeOrder));
-  const std::uint32_t jobs = kNumSchemes * config_.trials;
-  std::vector<metrics::AccessMetrics> grid(jobs);
-  const bool want_flight = config_.flight && options.on_flight != nullptr;
-  std::vector<std::unique_ptr<trace::FlightRecorder>> flights;
-  if (want_flight) flights.resize(jobs);
-  const unsigned threads = resolveThreads(options, jobs);
-  const auto runCell = [&](std::uint32_t i) {
-    const auto kind = kSchemeOrder[i / config_.trials];
-    if (want_flight) {
-      flights[i] =
-          std::make_unique<trace::FlightRecorder>(config_.flight_config);
-    }
-    grid[i] = runTrial(config_, kind, i % config_.trials, nullptr, nullptr,
-                       want_flight ? flights[i].get() : nullptr);
-  };
-  if (threads <= 1) {
-    for (std::uint32_t i = 0; i < jobs; ++i) runCell(i);
-  } else {
-    TrialPool pool(threads);
-    pool.forEachIndex(jobs, runCell);
-  }
-
-  for (std::uint32_t s = 0; s < kNumSchemes; ++s) {
-    metrics::AccessAggregate agg;
-    for (std::uint32_t t = 0; t < config_.trials; ++t) {
-      const std::uint32_t i = s * config_.trials + t;
-      const auto& m = grid[i];
-      if (options.on_trial) options.on_trial(kSchemeOrder[s], t, m);
-      if (want_flight) options.on_flight(kSchemeOrder[s], t, *flights[i]);
-      agg.add(m);
-    }
-    results.push_back(SchemeResult{kSchemeOrder[s], agg});
-  }
-  return results;
-}
-
-metrics::AccessAggregate ExperimentRunner::runCoupled(
-    client::SchemeKind kind, const RunOptions& options) {
-  sim::Engine engine;
-  client::Cluster cluster = makeCluster(config_, engine);
-  applyExperimentBackground(config_, cluster);
-  auto scheme = client::makeScheme(kind, cluster, config_.lt, config_.codec);
+std::vector<metrics::AccessMetrics> ExperimentRunner::runCoupled(
+    const ExperimentConfig& config, client::SchemeKind kind,
+    client::Cluster& cluster) {
+  auto scheme = client::makeScheme(kind, cluster, config.lt, config.codec);
 
   // Coupled trials share one cluster, so they share one tracer; per-access
   // breakdowns still separate cleanly because records carry the stream id.
   std::optional<trace::Tracer> tracer;
-  if (config_.trace) {
+  if (config.trace) {
     tracer.emplace();
     cluster.attachTracer(&*tracer);
   }
 
-  metrics::AccessAggregate agg;
+  std::vector<metrics::AccessMetrics> per_trial;
+  per_trial.reserve(config.trials);
   std::optional<client::StoredFile> reused;
   std::vector<SimTime> bg_busy_before(cluster.numDisks(), 0.0);
-
-  for (std::uint32_t t = 0; t < config_.trials; ++t) {
-    Rng trial_rng = trialRng(config_, t);
-    if (config_.background == ExperimentConfig::Background::kHeterogeneous) {
-      cluster.randomizeBackground(config_.bg_interval_min,
-                                  config_.bg_interval_max, trial_rng);
-    }
-    const auto disks =
-        config_.metadata_disk_selection
-            ? cluster.metadata().selectDisks(config_.disks_per_access,
-                                             meta::QosOptions{}, trial_rng)
-            : cluster.selectDisks(config_.disks_per_access, trial_rng);
+  for (std::uint32_t t = 0; t < config.trials; ++t) {
+    Rng trial_rng = trialRng(config, t);
+    const auto disks = selectTrialDisks(config, cluster, trial_rng);
     for (const auto d : disks) {
       bg_busy_before[d] =
           cluster.disk(d).busyTime(disk::Priority::kBackground);
     }
     const SimTime access_start = cluster.engine().now();
-
-    metrics::AccessMetrics m;
-    switch (config_.op) {
-      case ExperimentConfig::Op::kRead: {
-        if (config_.reuse_file) {
-          if (!reused) {
-            reused = scheme->planFile(config_.access, disks, config_.layout,
-                                      trial_rng);
-          }
-          m = scheme->read(*reused, config_.access);
-        } else {
-          client::StoredFile file = scheme->planFile(
-              config_.access, disks, config_.layout, trial_rng);
-          m = scheme->read(file, config_.access);
-        }
-        break;
-      }
-      case ExperimentConfig::Op::kWrite: {
-        m = scheme->write(config_.access, disks, config_.layout, trial_rng);
-        break;
-      }
-      case ExperimentConfig::Op::kReadAfterWrite: {
-        client::StoredFile file;
-        const metrics::AccessMetrics wm = scheme->write(
-            config_.access, disks, config_.layout, trial_rng, &file);
-        if (!wm.complete) {
-          if (options.on_trial) options.on_trial(kind, t, wm);
-          agg.add(wm);
-          continue;
-        }
-        if (config_.redraw_layout_after_write) {
-          file.redrawLayouts(config_.layout, trial_rng);
-        }
-        m = scheme->read(file, config_.access);
-        break;
-      }
-    }
-    if (options.on_trial) options.on_trial(kind, t, m);
-    agg.add(m);
+    const TrialAccess access = runAccess(config, *scheme, disks, trial_rng,
+                                         config.reuse_file ? &reused : nullptr);
+    per_trial.push_back(access.metrics);
+    // A read-after-write whose write failed is aggregated but sends no
+    // load report.
+    if (access.write_failed) continue;
 
     // §4.2: clients report what they observed of each disk back to the
     // metadata server, here the fraction of the access window the disk
@@ -400,7 +285,75 @@ metrics::AccessAggregate ExperimentRunner::runCoupled(
       }
     }
   }
-  return agg;
+  if (tracer) cluster.attachTracer(nullptr);  // the cluster outlives it
+  return per_trial;
+}
+
+metrics::AccessAggregate ExperimentRunner::run(client::SchemeKind kind,
+                                               const RunOptions& options) {
+  return runGrid({&kind, 1}, options).front().aggregate;
+}
+
+std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runAll(
+    const RunOptions& options) {
+  return runGrid(kSchemeOrder, options);
+}
+
+std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runGrid(
+    std::span<const client::SchemeKind> kinds, const RunOptions& options) {
+  const std::uint32_t trials = config_.trials;
+  const auto jobs = static_cast<std::uint32_t>(kinds.size()) * trials;
+  std::vector<metrics::AccessMetrics> grid(jobs);
+  const bool coupled = trialsAreCoupled(config_);
+  const bool want_flight =
+      !coupled && config_.flight && options.on_flight != nullptr;
+  std::vector<std::unique_ptr<trace::FlightRecorder>> flights;
+  if (want_flight) flights.resize(jobs);
+
+  if (coupled) {
+    // Each scheme's trials run in order against one long-lived cluster.
+    for (std::size_t s = 0; s < kinds.size(); ++s) {
+      sim::Engine engine;
+      client::Cluster cluster = makeCluster(config_, engine);
+      applyExperimentBackground(config_, cluster);
+      std::ranges::move(runCoupled(config_, kinds[s], cluster),
+                        grid.begin() + static_cast<std::ptrdiff_t>(s * trials));
+    }
+  } else {
+    // Fan the whole scheme x trial grid out at once so slow schemes do not
+    // serialize behind fast ones.
+    const auto runCell = [&](std::uint32_t i) {
+      if (want_flight) {
+        flights[i] =
+            std::make_unique<trace::FlightRecorder>(config_.flight_config);
+      }
+      grid[i] = runTrial(config_, kinds[i / trials], i % trials, nullptr,
+                         nullptr, want_flight ? flights[i].get() : nullptr);
+    };
+    const unsigned threads = std::min(
+        options.threads == 0 ? TrialPool::defaultThreads() : options.threads,
+        jobs);
+    if (threads <= 1) {
+      for (std::uint32_t i = 0; i < jobs; ++i) runCell(i);
+    } else {
+      TrialPool pool(threads);
+      pool.forEachIndex(jobs, runCell);
+    }
+  }
+
+  // Ordered reduction: identical to the serial loop for any thread count.
+  std::vector<SchemeResult> results;
+  for (std::size_t s = 0; s < kinds.size(); ++s) {
+    metrics::AccessAggregate agg;
+    for (std::uint32_t t = 0; t < trials; ++t) {
+      const std::size_t i = s * trials + t;
+      if (options.on_trial) options.on_trial(kinds[s], t, grid[i]);
+      if (want_flight) options.on_flight(kinds[s], t, *flights[i]);
+      agg.add(grid[i]);
+    }
+    results.push_back(SchemeResult{kinds[s], std::move(agg)});
+  }
+  return results;
 }
 
 }  // namespace robustore::core

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "client/cluster.hpp"
@@ -97,7 +98,7 @@ struct ExperimentConfig {
   /// observer — zero events, zero rng draws, so figure results stay
   /// bitwise identical whether sampling is on or off (the determinism
   /// guard test pins this). Usually populated from ROBUSTORE_SAMPLE_DT
-  /// (milliseconds) via telemetry::sampleDtFromEnv().
+  /// (milliseconds) via RunEnv::sampleDt().
   SimTime sample_dt = 0.0;
   /// Attach an always-on flight recorder to every trial (a disabled
   /// tracer carries it as a sink, so the existing instrumentation sites
@@ -202,16 +203,23 @@ class ExperimentRunner {
     return config.reuse_file || config.metadata_disk_selection;
   }
 
-  /// Trial-count override from the ROBUSTORE_TRIALS environment variable
-  /// (bench binaries default low for wall-clock sanity; CI can raise it).
-  /// Strictly parsed: malformed or out-of-range values fall back.
-  [[nodiscard]] static std::uint32_t trialsFromEnv(std::uint32_t fallback);
+  /// Runs every trial of a coupled experiment for `kind`, in trial order,
+  /// against `cluster` — one long-lived cluster (run() and runAll() build
+  /// it from `config` like runTrial's) whose state (filer caches, the metadata server's load records) carries from
+  /// trial to trial. Returns the per-trial metrics. After each access the
+  /// client reports the background load it saw on the access disks to the
+  /// metadata server (§4.2), except after a read-after-write whose write
+  /// failed. The caller owns the cluster, so it can inspect that state.
+  [[nodiscard]] static std::vector<metrics::AccessMetrics> runCoupled(
+      const ExperimentConfig& config, client::SchemeKind kind,
+      client::Cluster& cluster);
 
  private:
-  [[nodiscard]] metrics::AccessAggregate runCoupled(client::SchemeKind kind,
-                                                    const RunOptions& options);
-  [[nodiscard]] unsigned resolveThreads(const RunOptions& options,
-                                        std::uint32_t jobs) const;
+  /// The scheme x trial grid behind run() and runAll(): independent trials
+  /// fan out across the pool, coupled ones run per scheme in trial order,
+  /// and one ordered reduction feeds the hooks and the aggregates.
+  [[nodiscard]] std::vector<SchemeResult> runGrid(
+      std::span<const client::SchemeKind> kinds, const RunOptions& options);
 
   ExperimentConfig config_;
 };

@@ -78,11 +78,7 @@ void TrialPool::workerLoop() {
 }
 
 unsigned TrialPool::defaultThreads() {
-  return threadsFromEnv(std::max(1u, std::thread::hardware_concurrency()));
-}
-
-unsigned TrialPool::threadsFromEnv(unsigned fallback) {
-  return RunEnv::threads(fallback);
+  return RunEnv::threads(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace robustore::core

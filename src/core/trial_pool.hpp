@@ -53,10 +53,6 @@ class TrialPool {
   /// std::thread::hardware_concurrency() (minimum 1).
   [[nodiscard]] static unsigned defaultThreads();
 
-  /// Strictly parsed ROBUSTORE_THREADS override (RunEnv::threads);
-  /// `fallback` when unset or invalid.
-  [[nodiscard]] static unsigned threadsFromEnv(unsigned fallback);
-
  private:
   void workerLoop();
 

@@ -200,25 +200,4 @@ void MetadataServer::close(std::uint64_t handle) {
   handles_.erase(hit);
 }
 
-const FileRecord* MetadataServer::file(const std::string& name) const {
-  const auto it = files_.find(name);
-  return it == files_.end() ? nullptr : &it->second;
-}
-
-bool MetadataServer::remove(const std::string& name) {
-  auto it = files_.find(name);
-  if (it == files_.end()) return false;
-  const FileRecord& f = it->second;
-  if (f.readers > 0 || f.writer_locked) return false;
-  for (const auto& [disk_id, blocks] : f.locations) {
-    auto dit = disks_.find(disk_id);
-    if (dit != disks_.end()) {
-      const Bytes bytes = static_cast<Bytes>(blocks) * f.block_bytes;
-      dit->second.used -= std::min(dit->second.used, bytes);
-    }
-  }
-  files_.erase(it);
-  return true;
-}
-
 }  // namespace robustore::meta

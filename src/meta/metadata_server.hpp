@@ -158,11 +158,7 @@ class MetadataServer {
   [[nodiscard]] bool exists(const std::string& name) const {
     return files_.contains(name);
   }
-  [[nodiscard]] const FileRecord* file(const std::string& name) const;
   [[nodiscard]] std::size_t openHandles() const { return handles_.size(); }
-
-  /// Deletes a file (must be unlocked); frees its reserved capacity.
-  bool remove(const std::string& name);
 
  private:
   struct Handle {

@@ -21,7 +21,6 @@
 
 #include "analysis/reassembly.hpp"
 #include "client/cluster.hpp"
-#include "client/filesystem.hpp"
 #include "client/raid0.hpp"
 #include "client/robustore_scheme.hpp"
 #include "client/rraid.hpp"
@@ -47,7 +46,6 @@
 #include "disk/layout.hpp"
 #include "disk/params.hpp"
 #include "meta/metadata_server.hpp"
-#include "meta/qos_planner.hpp"
 #include "metrics/metrics.hpp"
 #include "net/link.hpp"
 #include "security/credentials.hpp"

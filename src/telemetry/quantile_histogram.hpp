@@ -7,11 +7,14 @@ namespace robustore::telemetry {
 
 /// Bounded-relative-error quantile histogram (HDR-histogram style) over
 /// non-negative values. Each positive value lands in a bucket keyed by
-/// its binary exponent (frexp octave) and a 128-way linear subdivision of
-/// the mantissa, so bucket width is value/256 and the bucket midpoint is
-/// within 1/512 (~0.2%) of every value it holds — comfortably inside the
-/// 1% error budget quantile() documents. Non-positive and NaN values
-/// count in a dedicated zero bucket (same clamping rule as Histogram).
+/// its binary exponent (frexp octave, mantissa in [0.5, 1)) and a
+/// kSubBuckets-way linear subdivision of the mantissa. A bucket is
+/// 2^octave / (2 * kSubBuckets) wide, so its midpoint is within half that
+/// width of every value it holds: a relative error of at most
+/// 1/(2 * kSubBuckets) = 1/256 (~0.39%), reached at the bottom of an
+/// octave (1.0 reads back as 1.00390625) and shrinking to ~1/512 at its
+/// top — inside the 1% error budget quantile() documents. Non-positive
+/// and NaN values count in a dedicated zero bucket.
 ///
 /// Designed for the trial pool: buckets are sparse integer-keyed counts,
 /// so merge() is a bucket-wise add — exact, commutative, associative —
@@ -37,8 +40,8 @@ class QuantileHistogram {
   /// Edge contract: empty -> 0.0; p <= 0 -> exact min; p >= 100 -> exact
   /// max; otherwise the midpoint of the bucket holding the rank-th
   /// sample, clamped into [min, max]. Worst-case relative error vs the
-  /// exact order statistic is half a bucket width: 1/(4*kSubBuckets)
-  /// < 0.2%.
+  /// exact order statistic is half a bucket width, 1/(2*kSubBuckets)
+  /// (~0.39%), at the bottom of an octave.
   [[nodiscard]] double quantile(double p) const;
 
   [[nodiscard]] std::uint64_t count() const { return count_; }

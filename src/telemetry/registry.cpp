@@ -6,53 +6,12 @@
 
 namespace robustore::telemetry {
 
-void Histogram::observe(double value) {
-  if (value < 0.0 || std::isnan(value)) value = 0.0;
-  if (count_ == 0 || value < min_) min_ = value;
-  if (value > max_) max_ = value;
-  ++count_;
-  sum_ += value;
-  std::size_t bucket = 0;
-  double edge = least_;
-  while (bucket + 1 < kNumBuckets && value > edge) {
-    edge *= 2.0;
-    ++bucket;
-  }
-  ++buckets_[bucket];
-}
-
-double Histogram::bucketEdge(std::size_t i) const {
-  return least_ * std::exp2(static_cast<double>(i));
-}
-
-double Histogram::quantile(double p) const {
-  if (count_ == 0) return 0.0;
-  if (p <= 0.0) return min();
-  if (p >= 100.0) return max_;
-  const double rank = p / 100.0 * static_cast<double>(count_ - 1);
-  auto index = static_cast<std::uint64_t>(rank);
-  if (index >= count_) index = count_ - 1;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative > index) {
-      double v = bucketEdge(i);
-      if (v < min()) v = min();
-      if (v > max_) v = max_;
-      return v;
-    }
-  }
-  return max_;
-}
-
-template <typename T, typename... Args>
-T& MetricRegistry::getOrCreate(Family<T>& family, std::string_view name,
-                               Args&&... args) {
+template <typename T>
+T& MetricRegistry::getOrCreate(Family<T>& family, std::string_view name) {
   if (const auto it = family.index.find(name); it != family.index.end()) {
     return *it->second;
   }
-  auto& entry = family.entries.emplace_back(std::string(name),
-                                            T(std::forward<Args>(args)...));
+  auto& entry = family.entries.emplace_back(std::string(name), T{});
   family.index.emplace(entry.first, &entry.second);
   return entry.second;
 }
@@ -65,8 +24,8 @@ Gauge& MetricRegistry::gauge(std::string_view name) {
   return getOrCreate(gauges_, name);
 }
 
-Histogram& MetricRegistry::histogram(std::string_view name, double least) {
-  return getOrCreate(histograms_, name, least);
+QuantileHistogram& MetricRegistry::histogram(std::string_view name) {
+  return getOrCreate(histograms_, name);
 }
 
 namespace {
@@ -117,19 +76,15 @@ std::string MetricRegistry::prometheusText() const {
   for (const auto& [name, h] : histograms_.entries) {
     out += "# TYPE ";
     appendPromName(out, name);
-    out += " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      cumulative += h.bucketCount(i);
+    out += " summary\n";
+    for (const auto& [label, p] : {std::pair{"0.5", 50.0},
+                                   std::pair{"0.9", 90.0},
+                                   std::pair{"0.99", 99.0}}) {
       appendPromName(out, name);
-      out += "_bucket{le=\"";
-      if (i + 1 == Histogram::kNumBuckets) {
-        out += "+Inf";
-      } else {
-        appendPromValue(out, h.bucketEdge(i));
-      }
+      out += "{quantile=\"";
+      out += label;
       out += "\"} ";
-      out += std::to_string(cumulative);
+      appendPromValue(out, h.quantile(p));
       out += '\n';
     }
     appendPromName(out, name);

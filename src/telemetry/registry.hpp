@@ -6,6 +6,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "telemetry/quantile_histogram.hpp"
+
 namespace robustore::telemetry {
 
 /// Monotonic event counter. Cheap enough to stay enabled: increments are
@@ -30,52 +32,6 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Log-bucketed histogram over non-negative values: bucket i holds
-/// observations in (2^(i-1) * least, 2^i * least] with bucket 0 covering
-/// [0, least]. Power-of-two edges make observe() a handful of shifts —
-/// no floating-point log on the hot path — while still spanning nine
-/// decades with the default 32 buckets.
-class Histogram {
- public:
-  static constexpr std::size_t kNumBuckets = 32;
-
-  /// `least` is the upper edge of the first bucket (default 1.0).
-  explicit Histogram(double least = 1.0) : least_(least > 0 ? least : 1.0) {}
-
-  void observe(double value);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return count_ == 0 ? 0.0 : min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] std::uint64_t bucketCount(std::size_t i) const {
-    return buckets_[i];
-  }
-  /// Upper edge of bucket i (the last bucket is unbounded).
-  [[nodiscard]] double bucketEdge(std::size_t i) const;
-
-  /// Bucket-resolution quantile for p in [0, 100] (clamped): the upper
-  /// edge of the bucket holding the sample at rank p/100 * (count-1)
-  /// (SampleSet's rank convention), clamped into [min, max]. Edge
-  /// contract: empty -> 0.0, p <= 0 -> min, p >= 100 -> max.
-  ///
-  /// Worst-case error is one bucket: edges are powers of two, so the
-  /// result can overstate the true order statistic by up to 2x (the
-  /// bucket's full width) — plus whatever the [0, least] first bucket
-  /// spans. This is exposition-grade (Prometheus consumers reading p99
-  /// off the final snapshot), not analysis-grade; use QuantileHistogram
-  /// when ~1% relative error matters.
-  [[nodiscard]] double quantile(double p) const;
-
- private:
-  double least_;
-  std::uint64_t buckets_[kNumBuckets] = {};
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Central name -> metric registry. Names are dotted component paths
 /// ("disk.queue_depth"); registration is get-or-create and the iteration
 /// order is insertion order, so exports serialise deterministically — no
@@ -84,8 +40,7 @@ class MetricRegistry {
  public:
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name,
-                                     double least = 1.0);
+  [[nodiscard]] QuantileHistogram& histogram(std::string_view name);
 
   [[nodiscard]] std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
@@ -93,8 +48,9 @@ class MetricRegistry {
 
   /// Prometheus text exposition format (final snapshot for future live
   /// serving): one `robustore_`-prefixed family per metric, dots and
-  /// other illegal characters mapped to '_'. Histograms emit cumulative
-  /// `_bucket{le=...}` series plus `_sum` / `_count`.
+  /// other illegal characters mapped to '_'. Histograms emit a `summary`:
+  /// fixed `{quantile="0.5"|"0.9"|"0.99"}` lines (QuantileHistogram
+  /// estimates, within its half-bucket error) plus `_sum` / `_count`.
   [[nodiscard]] std::string prometheusText() const;
 
  private:
@@ -105,12 +61,12 @@ class MetricRegistry {
     [[nodiscard]] std::size_t size() const { return entries.size(); }
   };
 
-  template <typename T, typename... Args>
-  T& getOrCreate(Family<T>& family, std::string_view name, Args&&... args);
+  template <typename T>
+  T& getOrCreate(Family<T>& family, std::string_view name);
 
   Family<Counter> counters_;
   Family<Gauge> gauges_;
-  Family<Histogram> histograms_;
+  Family<QuantileHistogram> histograms_;
 };
 
 }  // namespace robustore::telemetry

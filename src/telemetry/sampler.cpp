@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/expects.hpp"
-#include "core/run_env.hpp"
 
 namespace robustore::telemetry {
 
@@ -56,7 +55,5 @@ void PeriodicSampler::sampleAt(SimTime at) {
     }
   }
 }
-
-SimTime sampleDtFromEnv() { return core::RunEnv::sampleDt(); }
 
 }  // namespace robustore::telemetry

@@ -76,9 +76,4 @@ class PeriodicSampler {
   std::uint64_t samples_ = 0;
 };
 
-/// Sampling interval from the ROBUSTORE_SAMPLE_DT environment variable
-/// (milliseconds, strictly parsed), converted to seconds. Unset,
-/// malformed, or non-positive values return 0 (sampling off).
-[[nodiscard]] SimTime sampleDtFromEnv();
-
 }  // namespace robustore::telemetry

@@ -111,8 +111,8 @@ void snapshotToRegistry(const Timeline& timeline, MetricRegistry& registry) {
   for (const auto& s : timeline.allSeries()) {
     if (s.size() == 0) continue;
     registry.gauge(s.name).set(s.last());
-    Histogram& h = registry.histogram(s.name);
-    for (const double v : s.v) h.observe(v);
+    QuantileHistogram& h = registry.histogram(s.name);
+    for (const double v : s.v) h.record(v);
   }
 }
 

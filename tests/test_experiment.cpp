@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <utility>
 #include <vector>
 
 namespace robustore::core {
@@ -123,29 +123,6 @@ TEST(ExperimentRunner, CachedRereadsAreFaster) {
   EXPECT_GT(c.meanBandwidthMBps(), u.meanBandwidthMBps());
 }
 
-TEST(ExperimentRunner, TrialsFromEnvFallsBack) {
-  unsetenv("ROBUSTORE_TRIALS");
-  EXPECT_EQ(ExperimentRunner::trialsFromEnv(13), 13u);
-  setenv("ROBUSTORE_TRIALS", "5", 1);
-  EXPECT_EQ(ExperimentRunner::trialsFromEnv(13), 5u);
-  setenv("ROBUSTORE_TRIALS", "bogus", 1);
-  EXPECT_EQ(ExperimentRunner::trialsFromEnv(13), 13u);
-  unsetenv("ROBUSTORE_TRIALS");
-}
-
-TEST(ExperimentRunner, TrialsFromEnvRejectsMalformedValues) {
-  // Strict parsing: trailing garbage, signs, whitespace, zero, and
-  // out-of-range values all fall back instead of silently truncating.
-  for (const char* bad : {"5x", "0x10", " 5", "5 ", "-3", "+4", "0", "",
-                          "99999999999999999999", "4294967296"}) {
-    setenv("ROBUSTORE_TRIALS", bad, 1);
-    EXPECT_EQ(ExperimentRunner::trialsFromEnv(13), 13u) << "'" << bad << "'";
-  }
-  setenv("ROBUSTORE_TRIALS", "4294967295", 1);  // still in uint32 range
-  EXPECT_EQ(ExperimentRunner::trialsFromEnv(13), 4294967295u);
-  unsetenv("ROBUSTORE_TRIALS");
-}
-
 // --- deterministic parallel execution ------------------------------------
 
 void expectBitIdentical(const metrics::AccessAggregate& a,
@@ -259,6 +236,85 @@ TEST(ExperimentRunner, OnTrialCallbackArrivesInTrialOrder) {
   ASSERT_EQ(seen.size(), cfg.trials);
   for (std::uint32_t t = 0; t < cfg.trials; ++t) EXPECT_EQ(seen[t], t);
   EXPECT_EQ(agg.trials() + agg.incompleteCount(), cfg.trials);
+}
+
+TEST(ExperimentRunner, RunMatchesTheRunAllEntryBitForBit) {
+  // run(kind) and runAll() share one scheme x trial grid: the single
+  // scheme's aggregate must equal its runAll() row exactly, for
+  // independent trials and for coupled (reuse_file) ones.
+  auto independent = smallConfig();
+  auto coupled = smallConfig();
+  coupled.reuse_file = true;
+  coupled.cache.enabled = true;
+  ASSERT_FALSE(ExperimentRunner::trialsAreCoupled(independent));
+  ASSERT_TRUE(ExperimentRunner::trialsAreCoupled(coupled));
+  for (const auto& cfg : {independent, coupled}) {
+    ExperimentRunner runner(cfg);
+    RunOptions grid;
+    grid.threads = 4;
+    RunOptions single;
+    single.threads = 2;
+    const auto all = runner.runAll(grid);
+    ASSERT_EQ(all.size(), 4u);
+    for (const auto& row : all) {
+      expectBitIdentical(runner.run(row.kind, single), row.aggregate,
+                         client::schemeName(row.kind));
+    }
+  }
+}
+
+/// Disks of `cluster` that received at least one load report.
+std::size_t reportedDisks(client::Cluster& cluster) {
+  std::size_t n = 0;
+  for (const auto& [id, d] : cluster.metadata().disks()) {
+    if (d.last_report > 0.0) ++n;
+  }
+  return n;
+}
+
+TEST(ExperimentRunner, CoupledFailedWriteIsAggregatedOnceWithoutLoadReport) {
+  auto cfg = smallConfig();
+  cfg.op = ExperimentConfig::Op::kReadAfterWrite;
+  cfg.metadata_disk_selection = true;
+  ASSERT_TRUE(ExperimentRunner::trialsAreCoupled(cfg));
+  const auto runOnFreshCluster = [](const ExperimentConfig& c) {
+    sim::Engine engine;
+    client::ClusterConfig cc;
+    cc.num_servers = c.num_servers;
+    cc.server.disks_per_server = c.disks_per_server;
+    client::Cluster cluster(engine, cc, Rng(c.seed));
+    const auto per_trial = ExperimentRunner::runCoupled(
+        c, client::SchemeKind::kRobuStore, cluster);
+    EXPECT_EQ(per_trial.size(), c.trials);
+    return std::pair{per_trial, reportedDisks(cluster)};
+  };
+
+  // Control: completed read-after-writes report on their access disks.
+  const auto [ok_trials, ok_reported] = runOnFreshCluster(cfg);
+  for (const auto& m : ok_trials) EXPECT_TRUE(m.complete);
+  EXPECT_GT(ok_reported, 0u);
+
+  // A tiny timeout fails every write: no read follows, and no trial
+  // reports load to the metadata server.
+  cfg.access.timeout = 1e-6;
+  const auto [failed_trials, failed_reported] = runOnFreshCluster(cfg);
+  for (const auto& m : failed_trials) EXPECT_FALSE(m.complete);
+  EXPECT_EQ(failed_reported, 0u);
+
+  // Through the runner, each failed trial reaches the hook and the
+  // aggregate exactly once.
+  ExperimentRunner runner(cfg);
+  std::vector<std::uint32_t> seen;
+  RunOptions options;
+  options.on_trial = [&](client::SchemeKind, std::uint32_t trial,
+                         const metrics::AccessMetrics& m) {
+    EXPECT_FALSE(m.complete);
+    seen.push_back(trial);
+  };
+  const auto agg = runner.run(client::SchemeKind::kRobuStore, options);
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(agg.trials(), 0u);
+  EXPECT_EQ(agg.incompleteCount(), cfg.trials);
 }
 
 }  // namespace

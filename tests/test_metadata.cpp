@@ -162,21 +162,6 @@ TEST_F(MetadataFixture, CreateWithExcessiveReservationFails) {
             OpenStatus::kNoCapacity);
 }
 
-TEST_F(MetadataFixture, RemoveFreesCapacityAndRespectsLocks) {
-  FileDescriptor wfd;
-  ASSERT_EQ(server.open("f4", AccessType::kWrite, QosOptions{}, &wfd),
-            OpenStatus::kOk);
-  server.registerFile(wfd.handle, 64 * kMiB, kMiB, 64,
-                      CodingScheme::kReplication, coding::LtParams{},
-                      {{5, 64}});
-  EXPECT_FALSE(server.remove("f4"));  // still write-locked
-  server.close(wfd.handle);
-  EXPECT_EQ(server.disk(5)->used, 64 * kMiB);
-  EXPECT_TRUE(server.remove("f4"));
-  EXPECT_EQ(server.disk(5)->used, 0u);
-  EXPECT_FALSE(server.exists("f4"));
-}
-
 TEST_F(MetadataFixture, CloseUnknownHandleIsIgnored) {
   EXPECT_NO_FATAL_FAILURE(server.close(12345));
 }

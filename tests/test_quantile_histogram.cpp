@@ -1,8 +1,9 @@
 // telemetry::QuantileHistogram: the bounded-error quantile sketch behind
-// the per-stage latency percentiles. Pins the ≤1% error budget against
-// exact SampleSet percentiles, the edge-case contract shared with
-// SampleSet::percentile, merge associativity (serial == any fan-out),
-// and the coarse Histogram::quantile's documented one-bucket error.
+// the per-stage latency percentiles and the registry's Prometheus
+// summaries. Pins the half-bucket error bound at octave bottoms, the ≤1%
+// error budget against exact SampleSet percentiles, the edge-case
+// contract shared with SampleSet::percentile, and merge associativity
+// (serial == any fan-out).
 
 #include "telemetry/quantile_histogram.hpp"
 
@@ -14,7 +15,6 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "telemetry/registry.hpp"
 
 namespace robustore::telemetry {
 namespace {
@@ -62,6 +62,45 @@ TEST(QuantileHistogram, NonPositiveAndNanLandInTheZeroBucket) {
   // Ranks inside the zero bucket read 0.0; the top of the stream is 2.0.
   EXPECT_EQ(h.quantile(25.0), 0.0);
   EXPECT_DOUBLE_EQ(h.quantile(100.0), 2.0);
+}
+
+TEST(QuantileHistogram, HalfBucketBoundIsTightAtOctaveBottoms) {
+  // A value at the bottom of an octave (mantissa exactly 0.5) is the
+  // farthest, relatively, from its bucket's midpoint: the error is
+  // exactly half a bucket, 1/(2 * kSubBuckets) of the value. A larger
+  // sample keeps the max clamp out of the way.
+  const double bound = 1.0 / (2.0 * QuantileHistogram::kSubBuckets);
+  for (const int octave : {-20, -7, -1, 0, 1, 10, 30}) {
+    const double x = std::ldexp(1.0, octave);
+    QuantileHistogram h;
+    for (int i = 0; i < 100; ++i) h.record(x);
+    h.record(2.0 * x);
+    const double got = h.quantile(50.0);
+    EXPECT_LE(std::abs(got - x) / x, bound) << "2^" << octave;
+    EXPECT_DOUBLE_EQ(got, x * (1.0 + bound)) << "2^" << octave;
+  }
+  // Worked example: 100 x 1.0 plus one 2.0 reads p50 as 1 + 1/256.
+  QuantileHistogram h;
+  for (int i = 0; i < 100; ++i) h.record(1.0);
+  h.record(2.0);
+  EXPECT_DOUBLE_EQ(h.quantile(50.0), 1.00390625);
+}
+
+TEST(QuantileHistogram, HalfBucketBoundHoldsAcrossTheOctave) {
+  // Every value lands within 1/(2 * kSubBuckets) of its bucket midpoint,
+  // wherever in the octave it sits.
+  const double bound = 1.0 / (2.0 * QuantileHistogram::kSubBuckets);
+  Rng rng(31);
+  for (int i = 0; i < 2000; ++i) {
+    const double x = std::exp(rng.uniform(std::log(1e-6), std::log(1e6)));
+    QuantileHistogram h;
+    h.record(0.0);
+    h.record(x);
+    h.record(x);
+    h.record(4.0 * x);
+    const double got = h.quantile(50.0);  // rank 1.5 -> the first x
+    EXPECT_LE(std::abs(got - x) / x, bound) << x;
+  }
 }
 
 TEST(QuantileHistogram, WithinOnePercentOfExactPercentiles) {
@@ -152,47 +191,6 @@ TEST(QuantileHistogram, ThreadShardedMergeEqualsSerial) {
   EXPECT_EQ(merged.count(), serial.count());
   for (const double p : {0.0, 25.0, 50.0, 75.0, 99.0, 100.0}) {
     EXPECT_DOUBLE_EQ(merged.quantile(p), serial.quantile(p)) << "p" << p;
-  }
-}
-
-TEST(HistogramQuantile, AgreesWithQuantileHistogramWithinItsBucketError) {
-  // The coarse telemetry Histogram (fixed log-spaced buckets) documents a
-  // worst-case error of one bucket — up to 2x overstatement. Feed both
-  // sketches the identical stream and check the documented relationship:
-  // Histogram::quantile never reads below ~the precise estimate's bucket
-  // and never more than ~2x above it.
-  // least = 1 ms so the doubling buckets actually resolve the stream;
-  // below `least` everything collapses into bucket zero and the error is
-  // unbounded — that caveat is part of the documented contract.
-  Histogram coarse(1e-3);
-  QuantileHistogram precise;
-  Rng rng(5);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = std::exp(rng.uniform(std::log(5e-3), std::log(8.0)));
-    coarse.observe(x);
-    precise.record(x);
-  }
-  for (const double p : {10.0, 50.0, 90.0, 99.0}) {
-    const double fine = precise.quantile(p);
-    const double rough = coarse.quantile(p);
-    EXPECT_GE(rough, fine * 0.98) << "p" << p;   // never understates
-    EXPECT_LE(rough, fine * 2.05) << "p" << p;   // one-bucket overstatement
-  }
-}
-
-TEST(HistogramQuantile, EdgeContractMatchesSampleSetConvention) {
-  Histogram h;
-  EXPECT_EQ(h.quantile(50.0), 0.0);  // empty
-  h.observe(0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.5);    // p<=0 -> min
-  EXPECT_DOUBLE_EQ(h.quantile(100.0), 0.5);  // p>=100 -> max
-  h.observe(4.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.quantile(100.0), 4.0);
-  // Interior quantiles are clamped into [min, max].
-  for (const double p : {10.0, 50.0, 90.0}) {
-    EXPECT_GE(h.quantile(p), 0.5);
-    EXPECT_LE(h.quantile(p), 4.0);
   }
 }
 

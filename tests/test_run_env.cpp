@@ -7,9 +7,9 @@
 namespace robustore::core {
 namespace {
 
-// The strict-count parser itself is pinned through the public wrappers
-// (ExperimentRunner::trialsFromEnv, TrialPool::threadsFromEnv tests);
-// here we pin the knobs only RunEnv exposes and the fallback contracts.
+// Every ROBUSTORE_* knob is read through RunEnv: these tests pin the
+// strict-count parser, each accessor's strict parsing and fallback
+// contract, and the knobs' value mappings.
 
 TEST(RunEnv, CountIsStrict) {
   unsetenv("ROBUSTORE_TEST_COUNT");
@@ -23,6 +23,49 @@ TEST(RunEnv, CountIsStrict) {
         << "'" << bad << "'";
   }
   unsetenv("ROBUSTORE_TEST_COUNT");
+}
+
+TEST(RunEnv, TrialsFallsBack) {
+  unsetenv("ROBUSTORE_TRIALS");
+  EXPECT_EQ(RunEnv::trials(13), 13u);
+  setenv("ROBUSTORE_TRIALS", "5", 1);
+  EXPECT_EQ(RunEnv::trials(13), 5u);
+  setenv("ROBUSTORE_TRIALS", "bogus", 1);
+  EXPECT_EQ(RunEnv::trials(13), 13u);
+  unsetenv("ROBUSTORE_TRIALS");
+}
+
+TEST(RunEnv, TrialsRejectsMalformedValues) {
+  // Strict parsing: trailing garbage, signs, whitespace, zero, and
+  // out-of-range values all fall back instead of silently truncating.
+  for (const char* bad : {"5x", "0x10", " 5", "5 ", "-3", "+4", "0", "",
+                          "99999999999999999999", "4294967296"}) {
+    setenv("ROBUSTORE_TRIALS", bad, 1);
+    EXPECT_EQ(RunEnv::trials(13), 13u) << "'" << bad << "'";
+  }
+  setenv("ROBUSTORE_TRIALS", "4294967295", 1);  // still in uint32 range
+  EXPECT_EQ(RunEnv::trials(13), 4294967295u);
+  unsetenv("ROBUSTORE_TRIALS");
+}
+
+TEST(RunEnv, ThreadsStrictParsing) {
+  unsetenv("ROBUSTORE_THREADS");
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  setenv("ROBUSTORE_THREADS", "6", 1);
+  EXPECT_EQ(RunEnv::threads(3), 6u);
+  setenv("ROBUSTORE_THREADS", "6x", 1);  // trailing garbage
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  setenv("ROBUSTORE_THREADS", " 6", 1);  // leading whitespace
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  setenv("ROBUSTORE_THREADS", "0", 1);  // zero is meaningless
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  setenv("ROBUSTORE_THREADS", "-2", 1);
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  setenv("ROBUSTORE_THREADS", "99999999999999999999", 1);  // overflow
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  setenv("ROBUSTORE_THREADS", "4096", 1);  // above the hard ceiling
+  EXPECT_EQ(RunEnv::threads(3), 3u);
+  unsetenv("ROBUSTORE_THREADS");
 }
 
 TEST(RunEnv, SeedFallsBackWhenUnsetOrInvalid) {

@@ -10,16 +10,23 @@
 namespace robustore::coding {
 namespace {
 
+// gtest names each instance after a byte dump of its parameter, and
+// gtest_discover_tests turns that dump into the ctest name. A 64-bit k
+// leaves the struct without padding, so no uninitialised byte reaches
+// the dump and the test names are the same on every build.
 struct SolitonParams {
-  std::uint32_t k;
+  std::uint64_t k;
   double c;
   double delta;
 };
+static_assert(sizeof(SolitonParams) ==
+              sizeof(std::uint64_t) + 2 * sizeof(double));
 
 class RobustSolitonTest : public ::testing::TestWithParam<SolitonParams> {};
 
 TEST_P(RobustSolitonTest, PmfIsNormalized) {
-  const auto [k, c, delta] = GetParam();
+  const auto [k64, c, delta] = GetParam();
+  const auto k = static_cast<std::uint32_t>(k64);
   const RobustSoliton dist(k, c, delta);
   double total = 0;
   for (std::uint32_t d = 1; d <= k; ++d) {
@@ -31,7 +38,8 @@ TEST_P(RobustSolitonTest, PmfIsNormalized) {
 }
 
 TEST_P(RobustSolitonTest, SamplesStayInRange) {
-  const auto [k, c, delta] = GetParam();
+  const auto [k64, c, delta] = GetParam();
+  const auto k = static_cast<std::uint32_t>(k64);
   const RobustSoliton dist(k, c, delta);
   Rng rng(k);
   for (int i = 0; i < 2000; ++i) {
@@ -42,7 +50,8 @@ TEST_P(RobustSolitonTest, SamplesStayInRange) {
 }
 
 TEST_P(RobustSolitonTest, EmpiricalMeanMatchesPmfMean) {
-  const auto [k, c, delta] = GetParam();
+  const auto [k64, c, delta] = GetParam();
+  const auto k = static_cast<std::uint32_t>(k64);
   const RobustSoliton dist(k, c, delta);
   Rng rng(k + 17);
   double sum = 0;

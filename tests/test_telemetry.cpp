@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/run_env.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
@@ -38,40 +39,25 @@ TEST(MetricRegistry, GetOrCreateReturnsSameInstance) {
   EXPECT_EQ(reg.size(), 2u);
 }
 
-TEST(MetricRegistry, HistogramBucketsAreLogSpaced) {
-  telemetry::Histogram h(1.0);
-  h.observe(0.5);   // bucket 0: [0, 1]
-  h.observe(1.0);   // bucket 0
-  h.observe(1.5);   // bucket 1: (1, 2]
-  h.observe(3.0);   // bucket 2: (2, 4]
-  h.observe(100.0);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 106.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);
-  EXPECT_EQ(h.bucketCount(0), 2u);
-  EXPECT_EQ(h.bucketCount(1), 1u);
-  EXPECT_EQ(h.bucketCount(2), 1u);
-  EXPECT_DOUBLE_EQ(h.bucketEdge(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucketEdge(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucketEdge(2), 4.0);
-}
-
 TEST(MetricRegistry, HistogramClampsNegativeAndNan) {
-  telemetry::Histogram h;
-  h.observe(-5.0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.bucketCount(0), 1u);
+  telemetry::MetricRegistry reg;
+  telemetry::QuantileHistogram& h = reg.histogram("x");
+  h.record(-5.0);
+  h.record(std::nan(""));
+  EXPECT_EQ(&h, &reg.histogram("x"));
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.zeroCount(), 2u);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 0.0);
 }
 
 TEST(MetricRegistry, PrometheusTextFormat) {
   telemetry::MetricRegistry reg;
   reg.counter("events.total").increment(42);
   reg.gauge("disk.queue_depth").set(3.0);
-  telemetry::Histogram& h = reg.histogram("latency.s", 0.001);
-  h.observe(0.0005);
-  h.observe(0.003);
+  telemetry::QuantileHistogram& h = reg.histogram("latency.s");
+  for (int i = 0; i < 100; ++i) h.record(1.0);
+  h.record(2.0);
 
   const std::string text = reg.prometheusText();
   EXPECT_NE(text.find("# TYPE robustore_events_total counter"),
@@ -79,12 +65,18 @@ TEST(MetricRegistry, PrometheusTextFormat) {
   EXPECT_NE(text.find("robustore_events_total 42"), std::string::npos);
   EXPECT_NE(text.find("# TYPE robustore_disk_queue_depth gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE robustore_latency_s histogram"),
-            std::string::npos);
-  // Histogram buckets are cumulative and end with +Inf.
-  EXPECT_NE(text.find("robustore_latency_s_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("robustore_latency_s_count 2"), std::string::npos);
+  // Histograms are summaries: three fixed quantile lines, then sum and
+  // count. The quantiles carry QuantileHistogram's half-bucket error
+  // (1.0 sits at an octave bottom and reads back as 1 + 1/256).
+  EXPECT_NE(text.find("# TYPE robustore_latency_s summary\n"
+                      "robustore_latency_s{quantile=\"0.5\"} 1.00390625\n"
+                      "robustore_latency_s{quantile=\"0.9\"} 1.00390625\n"
+                      "robustore_latency_s{quantile=\"0.99\"} 1.00390625\n"
+                      "robustore_latency_s_sum 102\n"
+                      "robustore_latency_s_count 101\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("_bucket"), std::string::npos);
 }
 
 TEST(Timeline, SeriesAreStableAndOrdered) {
@@ -234,15 +226,17 @@ TEST(PeriodicSampler, EmitsCounterRecordsWhenTraced) {
   EXPECT_EQ(r.track, trace::kTelemetryTrack);
 }
 
+// ROBUSTORE_SAMPLE_DT gives the telemetry sampling period in milliseconds;
+// RunEnv returns it in seconds, the unit of ExperimentConfig::sample_dt.
 TEST(SampleDtFromEnv, ParsesMillisecondsStrictly) {
   unsetenv("ROBUSTORE_SAMPLE_DT");
-  EXPECT_DOUBLE_EQ(telemetry::sampleDtFromEnv(), 0.0);
+  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0);
   setenv("ROBUSTORE_SAMPLE_DT", "2.5", 1);
-  EXPECT_DOUBLE_EQ(telemetry::sampleDtFromEnv(), 0.0025);
+  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0025);
   setenv("ROBUSTORE_SAMPLE_DT", "garbage", 1);
-  EXPECT_DOUBLE_EQ(telemetry::sampleDtFromEnv(), 0.0);
+  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0);
   setenv("ROBUSTORE_SAMPLE_DT", "-3", 1);
-  EXPECT_DOUBLE_EQ(telemetry::sampleDtFromEnv(), 0.0);
+  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0);
   unsetenv("ROBUSTORE_SAMPLE_DT");
 }
 

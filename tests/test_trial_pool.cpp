@@ -70,26 +70,6 @@ TEST(TrialPool, FirstExceptionPropagatesAfterBatchDrains) {
   EXPECT_EQ(ok.load(), 4);
 }
 
-TEST(TrialPool, ThreadsFromEnvStrictParsing) {
-  unsetenv("ROBUSTORE_THREADS");
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  setenv("ROBUSTORE_THREADS", "6", 1);
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 6u);
-  setenv("ROBUSTORE_THREADS", "6x", 1);  // trailing garbage
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  setenv("ROBUSTORE_THREADS", " 6", 1);  // leading whitespace
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  setenv("ROBUSTORE_THREADS", "0", 1);  // zero is meaningless
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  setenv("ROBUSTORE_THREADS", "-2", 1);
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  setenv("ROBUSTORE_THREADS", "99999999999999999999", 1);  // overflow
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  setenv("ROBUSTORE_THREADS", "4096", 1);  // above the hard ceiling
-  EXPECT_EQ(TrialPool::threadsFromEnv(3), 3u);
-  unsetenv("ROBUSTORE_THREADS");
-}
-
 TEST(TrialPool, EnvOverridesDefaultThreads) {
   setenv("ROBUSTORE_THREADS", "2", 1);
   EXPECT_EQ(TrialPool::defaultThreads(), 2u);

@@ -336,7 +336,7 @@ int traceMain(int argc, char** argv) {
   // Counter tracks ride along with the spans: enable sampling on the env
   // grid (default 10 ms) so Perfetto shows the curves next to the events.
   core::ExperimentConfig config = options->config;
-  config.sample_dt = telemetry::sampleDtFromEnv();
+  config.sample_dt = core::RunEnv::sampleDt();
   if (config.sample_dt <= 0.0) config.sample_dt = 10.0 * kMilliseconds;
 
   trace::Tracer tracer;
@@ -444,7 +444,7 @@ int timelineMain(int argc, char** argv) {
 
   core::ExperimentConfig config = options->config;
   config.sample_dt =
-      dt_ms > 0.0 ? dt_ms * kMilliseconds : telemetry::sampleDtFromEnv();
+      dt_ms > 0.0 ? dt_ms * kMilliseconds : core::RunEnv::sampleDt();
   // runTrial falls back to a 10 ms grid when telemetry is requested with
   // no interval set.
   telemetry::TrialTelemetry telemetry;
