@@ -15,11 +15,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "chaos/campaign.hpp"
 #include "chaos/invariants.hpp"
 #include "chaos/schedule.hpp"
@@ -30,6 +29,7 @@
 namespace {
 
 using namespace robustore;
+using bench::appendCount;
 
 struct SchemeRow {
   client::SchemeKind scheme = client::SchemeKind::kRaid0;
@@ -50,12 +50,6 @@ struct SchemeRow {
   std::uint64_t violations = 0;
 };
 
-void appendCount(std::string& out, const char* key, std::uint64_t v) {
-  out += ", \"";
-  out += key;
-  out += "\": " + std::to_string(v);
-}
-
 int usage(std::FILE* to, int code) {
   std::fprintf(to,
                "usage: bench_chaos_sweep [--tier smoke|mid|full] [--seed N]\n"
@@ -72,24 +66,9 @@ int usage(std::FILE* to, int code) {
 int main(int argc, char** argv) {
   std::string tier = "mid";
   std::uint64_t base_seed = core::RunEnv::seed(0);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tier" && i + 1 < argc) {
-      tier = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      base_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(stdout, 0);
-    } else {
-      std::fprintf(stderr, "bench_chaos_sweep: unknown argument '%s'\n",
-                   arg.c_str());
-      return usage(stderr, 2);
-    }
-  }
-  if (tier != "smoke" && tier != "mid" && tier != "full") {
-    std::fprintf(stderr, "bench_chaos_sweep: unknown tier '%s'\n",
-                 tier.c_str());
-    return usage(stderr, 2);
+  if (const auto code = bench::parseTierArgs(argc, argv, "bench_chaos_sweep",
+                                             usage, tier, base_seed)) {
+    return *code;
   }
   const std::uint32_t campaigns =
       tier == "smoke" ? 16 : (tier == "mid" ? 64 : 200);
@@ -111,11 +90,8 @@ int main(int argc, char** argv) {
 
   // Reduce per scheme in seed order; fold the replay digests into one
   // sweep digest so the determinism guard has a single value to compare.
-  const client::SchemeKind kSchemes[] = {
-      client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
-      client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore};
   std::vector<SchemeRow> rows(4);
-  for (std::size_t s = 0; s < 4; ++s) rows[s].scheme = kSchemes[s];
+  for (std::size_t s = 0; s < 4; ++s) rows[s].scheme = client::kAllSchemes[s];
   std::uint64_t sweep_digest = 1469598103934665603ULL;
   std::uint64_t failing_campaigns = 0;
   for (std::uint32_t i = 0; i < campaigns; ++i) {
@@ -212,16 +188,7 @@ int main(int argc, char** argv) {
       out += i + 1 < rows.size() ? "},\n" : "}\n";
     }
     out += "  ]\n}\n";
-    const std::string path = *dir + "/BENCH_chaos_sweep.json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      std::printf("\njson trajectory written to %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "bench_chaos_sweep: cannot write %s\n",
-                   path.c_str());
-    }
+    bench::writeArtifact(*dir, "chaos_sweep", out, "bench_chaos_sweep");
   }
   return failing_campaigns == 0 ? 0 : 1;
 }

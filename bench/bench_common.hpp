@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,9 +15,7 @@
 
 namespace robustore::bench {
 
-inline constexpr client::SchemeKind kAllSchemes[] = {
-    client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
-    client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore};
+using client::kAllSchemes;
 
 inline void banner(const char* id, const char* title) {
   std::printf("==============================================================\n");
@@ -26,6 +25,42 @@ inline void banner(const char* id, const char* title) {
 
 inline std::uint32_t defaultTrials(std::uint32_t fallback = 10) {
   return core::RunEnv::trials(fallback);
+}
+
+/// The tiered sweeps' command line: --tier smoke|mid|full, --seed N (the
+/// whole value, overriding ROBUSTORE_SEED), --help, and the optional
+/// switch `flag`. Returns the exit code when the run should stop — 0
+/// after --help, 2 after a bad argument — having printed `usage`.
+inline std::optional<int> parseTierArgs(int argc, char** argv,
+                                        const char* name,
+                                        int (*usage)(std::FILE*, int),
+                                        std::string& tier, std::uint64_t& seed,
+                                        const char* flag = nullptr,
+                                        bool* flag_set = nullptr) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto seed_arg = arg == "--seed" && i + 1 < argc
+                              ? core::parseUnsigned(argv[i + 1])
+                              : std::nullopt;
+    if (arg == "--tier" && i + 1 < argc) {
+      tier = argv[++i];
+    } else if (seed_arg) {
+      seed = *seed_arg;
+      ++i;
+    } else if (flag != nullptr && arg == flag) {
+      *flag_set = true;
+    } else if (arg == "--help" || arg == "-h") {
+      return usage(stdout, 0);
+    } else {
+      std::fprintf(stderr, "%s: bad argument '%s'\n", name, arg.c_str());
+      return usage(stderr, 2);
+    }
+  }
+  if (tier != "smoke" && tier != "mid" && tier != "full") {
+    std::fprintf(stderr, "%s: unknown tier '%s'\n", name, tier.c_str());
+    return usage(stderr, 2);
+  }
+  return std::nullopt;
 }
 
 /// One metric series across a swept parameter, printed per scheme —
@@ -89,6 +124,69 @@ inline core::ExperimentConfig baselineConfig() {
   // (that is the point: tail attribution only when asked for).
   if (core::RunEnv::flight()) cfg.flight = true;
   return cfg;
+}
+
+/// The failure-sweep testbed: the four schemes reading 128 MB from 16
+/// disks with 3x redundancy, a generous access timeout and a per-request
+/// watchdog — generous against queueing (RAID-0's striped read tails out
+/// near 20 s under the heterogeneous layouts) but small against the
+/// access timeout. Fail-stops are re-issued immediately via the
+/// failure-notification path; the watchdog only catches silence.
+inline core::ExperimentConfig failureSweepConfig() {
+  core::ExperimentConfig base = baselineConfig();
+  base.num_servers = 4;
+  base.disks_per_server = 4;
+  base.disks_per_access = 16;
+  base.access.k = 128;  // 128 MB: keeps the sweep fast at paper trends
+  base.access.redundancy = 3.0;
+  base.access.timeout = 120.0;
+  base.access.request_timeout = 30.0;
+  base.access.max_reissues = 4;
+  return base;
+}
+
+/// The mid-access fault scenarios over `base`: none, one and two
+/// fail-stops, a crash-recover outage, transient stalls, stragglers and a
+/// stochastic mix (bench_failure_sweep, bench_tail_attribution).
+inline std::vector<SweepPoint> failureScenarios(
+    const core::ExperimentConfig& base) {
+  const auto scripted = [&](std::initializer_list<fault::FaultSpec> specs) {
+    core::ExperimentConfig cfg = base;
+    cfg.faults.scripted = specs;
+    return cfg;
+  };
+  using fault::FaultKind;
+  const SimTime at = 50.0 * kMilliseconds;  // mid-access
+  std::vector<SweepPoint> points;
+  points.push_back({"none", base});
+  points.push_back(
+      {"failstop-1", scripted({{0, FaultKind::kFailStop, at, 0.0, 1.0}})});
+  points.push_back(
+      {"failstop-2", scripted({{0, FaultKind::kFailStop, at, 0.0, 1.0},
+                               {1, FaultKind::kFailStop, at, 0.0, 1.0}})});
+  points.push_back({"crash-100ms", scripted({{0, FaultKind::kCrashRecover, at,
+                                              100.0 * kMilliseconds, 1.0}})});
+  points.push_back(
+      {"stall-50ms", scripted({{0, FaultKind::kTransientStall, at,
+                                50.0 * kMilliseconds, 1.0},
+                               {1, FaultKind::kTransientStall, at,
+                                50.0 * kMilliseconds, 1.0}})});
+  {
+    core::ExperimentConfig cfg = base;
+    cfg.faults.model.straggler_prob = 0.25;
+    cfg.faults.model.straggler_min = 3.0;
+    cfg.faults.model.straggler_max = 6.0;
+    points.push_back({"straggler", cfg});
+  }
+  {
+    core::ExperimentConfig cfg = base;
+    cfg.faults.model.fail_stop_prob = 0.1;
+    cfg.faults.model.crash_prob = 0.1;
+    cfg.faults.model.mean_outage = 0.2;
+    cfg.faults.model.horizon = 0.2;
+    points.push_back({"stochastic", cfg});
+  }
+  return points;
 }
 
 }  // namespace robustore::bench

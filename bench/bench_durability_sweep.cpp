@@ -19,24 +19,26 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "client/cluster.hpp"
 #include "client/scheme.hpp"
 #include "client/stored_file.hpp"
 #include "common/rng.hpp"
 #include "core/run_env.hpp"
+#include "core/stack.hpp"
 #include "core/trial_pool.hpp"
 #include "fault/fault.hpp"
 #include "repair/repair.hpp"
-#include "sim/engine.hpp"
 
 namespace {
 
 using namespace robustore;
+using bench::appendCount;
+using bench::appendNum;
 
 // Small files keep the sweep about failure/repair dynamics, not media
 // transfer time: 4 x 64 KiB originals spread over 8 of 16 disks.
@@ -63,7 +65,6 @@ struct TrialOut {
   std::uint32_t churn_failures = 0;
   std::uint32_t churn_replacements = 0;
   std::uint32_t degraded_end = 0;
-  std::uint32_t pending_end = 0;
 };
 
 struct RowOut {
@@ -83,48 +84,24 @@ struct RowOut {
   double repair_bytes_per_lost_byte = 0.0;
 };
 
-/// Rotated replication: original i's copies land on `copies` distinct
-/// placements (consecutive residues mod P), ids stay the original index
-/// so the repair service's coverage test applies directly.
-client::StoredFile buildReplicatedFile(client::Cluster& cluster,
-                                       std::span<const std::uint32_t> disks,
-                                       std::uint32_t copies, Rng& rng) {
+/// Hand-placed file: `blocks` stored blocks dealt round-robin over the
+/// placements, block j carrying id j / `copies`. With copies > 1 that is
+/// rotated replication — original i's copies on consecutive placements,
+/// ids the original index, so the repair service's coverage test applies
+/// directly; with copies = 1 and blocks = k(1 + D), an RS-style MDS file
+/// whose distinct coded ids any k of decode.
+client::StoredFile buildPlacedFile(client::Cluster& cluster,
+                                   std::span<const std::uint32_t> disks,
+                                   std::uint32_t blocks, std::uint32_t copies,
+                                   Rng& rng) {
   client::StoredFile file;
   file.file_id = cluster.nextFileId();
   file.block_bytes = kBlockBytes;
   file.k = kOriginals;
   file.placements.resize(disks.size());
   const auto P = static_cast<std::uint32_t>(disks.size());
-  for (std::uint32_t i = 0; i < kOriginals; ++i) {
-    for (std::uint32_t c = 0; c < copies; ++c) {
-      file.placements[(i * copies + c) % P].stored.push_back(i);
-    }
-  }
-  const disk::LayoutConfig layout{1024, 1.0};
-  for (std::uint32_t p = 0; p < P; ++p) {
-    file.placements[p].global_disk = disks[p];
-    file.placements[p].layout = disk::FileDiskLayout::generate(
-        static_cast<std::uint32_t>(file.placements[p].stored.size()),
-        kBlockBytes, layout, rng);
-  }
-  return file;
-}
-
-/// RS-style MDS file: n = k * (1 + D) distinct coded ids round-robin over
-/// the placements; any k of them decode.
-client::StoredFile buildMdsFile(client::Cluster& cluster,
-                                std::span<const std::uint32_t> disks,
-                                double redundancy, Rng& rng) {
-  client::StoredFile file;
-  file.file_id = cluster.nextFileId();
-  file.block_bytes = kBlockBytes;
-  file.k = kOriginals;
-  file.placements.resize(disks.size());
-  const auto P = static_cast<std::uint32_t>(disks.size());
-  const auto n = static_cast<std::uint32_t>(
-      std::lround(kOriginals * (1.0 + redundancy)));
-  for (std::uint32_t id = 0; id < n; ++id) {
-    file.placements[id % P].stored.push_back(id);
+  for (std::uint32_t j = 0; j < blocks; ++j) {
+    file.placements[j % P].stored.push_back(j / copies);
   }
   const disk::LayoutConfig layout{1024, 1.0};
   for (std::uint32_t p = 0; p < P; ++p) {
@@ -141,23 +118,21 @@ TrialOut runTrial(const PointSpec& spec, std::uint32_t point_index,
   // Three independent streams per (seed, point, trial): cluster internals,
   // file planning, and the churn draws — so a grid change in one axis
   // never shifts another point's timeline.
-  Rng root(seed * 0x9e3779b97f4a7c15ULL +
-           (static_cast<std::uint64_t>(point_index) * 131ULL + trial) + 1);
-  Rng cluster_rng = root.fork(0);
-  Rng plan_rng = root.fork(1);
-  Rng churn_rng = root.fork(2);
-
-  sim::Engine engine;
+  Rng root = streamRng(
+      seed, static_cast<std::uint64_t>(point_index) * 131ULL + trial);
   client::ClusterConfig ccfg;
   ccfg.num_servers = kNumServers;
   ccfg.server.disks_per_server = kDisksPerServer;
-  client::Cluster cluster(engine, ccfg, std::move(cluster_rng));
+  core::Stack stack(ccfg, root.fork(0));
+  Rng plan_rng = root.fork(1);
+  Rng churn_rng = root.fork(2);
+  client::Cluster& cluster = stack.cluster();
 
   repair::RepairConfig rcfg;
   rcfg.scan_interval = kScanInterval;
   rcfg.bandwidth_budget = mbps(32.0);
   rcfg.horizon = horizon;
-  repair::RepairService service(cluster, rcfg);
+  repair::RepairService& service = stack.addRepair(rcfg);
 
   std::vector<client::StoredFile> files;
   files.reserve(kFiles);  // protect() keeps pointers; no reallocation
@@ -169,14 +144,17 @@ TrialOut runTrial(const PointSpec& spec, std::uint32_t point_index,
       case repair::RedundancyClass::kReplication: {
         const auto copies = std::max<std::uint32_t>(
             2, static_cast<std::uint32_t>(std::lround(1.0 + spec.redundancy)));
-        files.push_back(
-            buildReplicatedFile(cluster, disks, copies, plan_rng));
+        files.push_back(buildPlacedFile(cluster, disks, kOriginals * copies,
+                                        copies, plan_rng));
         policy.klass = repair::RedundancyClass::kReplication;
         break;
       }
       case repair::RedundancyClass::kMds:
-        files.push_back(
-            buildMdsFile(cluster, disks, spec.redundancy, plan_rng));
+        files.push_back(buildPlacedFile(
+            cluster, disks,
+            static_cast<std::uint32_t>(
+                std::lround(kOriginals * (1.0 + spec.redundancy))),
+            1, plan_rng));
         policy.klass = repair::RedundancyClass::kMds;
         policy.regenerating = spec.regenerating;
         break;
@@ -196,17 +174,10 @@ TrialOut runTrial(const PointSpec& spec, std::uint32_t point_index,
     service.protect(files.back(), policy);
   }
 
-  fault::FaultInjector injector(
-      engine, [&cluster](std::uint32_t d) -> disk::Disk& {
-        return cluster.disk(d);
-      });
-  injector.setChurnListener([&service](const fault::ChurnEvent& e) {
-    if (e.kind == fault::ChurnEventKind::kPermanentFailure) {
-      service.onDiskFailed(e.disk);
-    } else {
-      service.onDiskReplaced(e.disk);
-    }
-  });
+  // Churn addresses every cluster disk; failures and replacements flow
+  // into the repair service's liveness view.
+  fault::FaultInjector& injector = stack.injectFaults();
+  stack.repairOnChurn();
   fault::ChurnModel churn;
   churn.failure_rate = spec.failure_rate;
   churn.replacement_delay = kReplacementDelay;
@@ -215,27 +186,14 @@ TrialOut runTrial(const PointSpec& spec, std::uint32_t point_index,
       fault::FaultInjector::drawChurn(churn, cluster.numDisks(), churn_rng));
 
   service.start();
-  engine.runUntil(horizon + kDrainTail);  // drain in-flight repairs
+  stack.engine().runUntil(horizon + kDrainTail);  // drain in-flight repairs
 
   TrialOut out;
   out.stats = service.stats();
   out.churn_failures = injector.churnFailures();
   out.churn_replacements = injector.churnReplacements();
   out.degraded_end = service.degradedPlacements();
-  out.pending_end = service.pendingRepairs();
   return out;
-}
-
-void appendNum(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ", \"%s\": %.6g", key, v);
-  out += buf;
-}
-
-void appendCount(std::string& out, const char* key, std::uint64_t v) {
-  out += ", \"";
-  out += key;
-  out += "\": " + std::to_string(v);
 }
 
 int usage(std::FILE* to, int code) {
@@ -257,24 +215,9 @@ int usage(std::FILE* to, int code) {
 int main(int argc, char** argv) {
   std::string tier = "mid";
   std::uint64_t seed = core::RunEnv::seed(42);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tier" && i + 1 < argc) {
-      tier = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(stdout, 0);
-    } else {
-      std::fprintf(stderr, "bench_durability_sweep: unknown argument '%s'\n",
-                   arg.c_str());
-      return usage(stderr, 2);
-    }
-  }
-  if (tier != "smoke" && tier != "mid" && tier != "full") {
-    std::fprintf(stderr, "bench_durability_sweep: unknown tier '%s'\n",
-                 tier.c_str());
-    return usage(stderr, 2);
+  if (const auto code = bench::parseTierArgs(
+          argc, argv, "bench_durability_sweep", usage, tier, seed)) {
+    return *code;
   }
 
   const SimTime horizon =
@@ -411,16 +354,8 @@ int main(int argc, char** argv) {
       out += i + 1 < rows.size() ? "},\n" : "}\n";
     }
     out += "  ]\n}\n";
-    const std::string path = *dir + "/BENCH_durability_sweep.json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      std::printf("\njson trajectory written to %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "bench_durability_sweep: cannot write %s\n",
-                   path.c_str());
-    }
+    bench::writeArtifact(*dir, "durability_sweep", out,
+                         "bench_durability_sweep");
   }
   return 0;
 }

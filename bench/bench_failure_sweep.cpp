@@ -8,68 +8,13 @@
 // survives small counts, RobuSTore degrades only in bandwidth, and the
 // degraded-mode tables quantify the re-issue work each scheme paid.
 
-#include <vector>
-
 #include "bench_common.hpp"
 
 int main() {
   using namespace robustore;
-  using bench::SweepPoint;
-
-  core::ExperimentConfig base = bench::baselineConfig();
-  base.num_servers = 4;
-  base.disks_per_server = 4;
-  base.disks_per_access = 16;
-  base.access.k = 128;  // 128 MB: keeps the sweep fast at paper trends
-  base.access.redundancy = 3.0;
-  base.access.timeout = 120.0;
-  // Per-request watchdog: generous against queueing (RAID-0's striped
-  // read tails out near 20 s under the heterogeneous layouts) but small
-  // against the access timeout. Fail-stops are re-issued immediately via
-  // the failure-notification path; the watchdog only catches silence.
-  base.access.request_timeout = 30.0;
-  base.access.max_reissues = 4;
-
-  const auto scripted = [&](std::initializer_list<fault::FaultSpec> specs) {
-    core::ExperimentConfig cfg = base;
-    cfg.faults.scripted = specs;
-    return cfg;
-  };
-
-  using fault::FaultKind;
-  const SimTime at = 50.0 * kMilliseconds;  // mid-access
-  std::vector<SweepPoint> points;
-  points.push_back({"none", base});
-  points.push_back(
-      {"failstop-1", scripted({{0, FaultKind::kFailStop, at, 0.0, 1.0}})});
-  points.push_back(
-      {"failstop-2", scripted({{0, FaultKind::kFailStop, at, 0.0, 1.0},
-                               {1, FaultKind::kFailStop, at, 0.0, 1.0}})});
-  points.push_back({"crash-100ms", scripted({{0, FaultKind::kCrashRecover, at,
-                                              100.0 * kMilliseconds, 1.0}})});
-  points.push_back(
-      {"stall-50ms", scripted({{0, FaultKind::kTransientStall, at,
-                                50.0 * kMilliseconds, 1.0},
-                               {1, FaultKind::kTransientStall, at,
-                                50.0 * kMilliseconds, 1.0}})});
-  {
-    core::ExperimentConfig cfg = base;
-    cfg.faults.model.straggler_prob = 0.25;
-    cfg.faults.model.straggler_min = 3.0;
-    cfg.faults.model.straggler_max = 6.0;
-    points.push_back({"straggler", cfg});
-  }
-  {
-    core::ExperimentConfig cfg = base;
-    cfg.faults.model.fail_stop_prob = 0.1;
-    cfg.faults.model.crash_prob = 0.1;
-    cfg.faults.model.mean_outage = 0.2;
-    cfg.faults.model.horizon = 0.2;
-    points.push_back({"stochastic", cfg});
-  }
-
   bench::banner("failure_sweep",
                 "mid-access faults: 128 MB read, 16 disks, 3x redundancy");
-  bench::runSchemeSweep("failure_sweep", "scenario", points);
+  bench::runSchemeSweep("failure_sweep", "scenario",
+                        bench::failureScenarios(bench::failureSweepConfig()));
   return 0;
 }

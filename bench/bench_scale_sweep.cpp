@@ -18,11 +18,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/multi_client.hpp"
 #include "core/run_env.hpp"
@@ -32,6 +32,8 @@
 namespace {
 
 using namespace robustore;
+using bench::appendCount;
+using bench::appendNum;
 
 double wallSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -106,18 +108,6 @@ struct EventStorm {
   }
 };
 
-void appendNum(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), ", \"%s\": %.6g", key, v);
-  out += buf;
-}
-
-void appendCount(std::string& out, const char* key, std::uint64_t v) {
-  out += ", \"";
-  out += key;
-  out += "\": " + std::to_string(v);
-}
-
 int usage(std::FILE* to, int code) {
   std::fprintf(to,
                "usage: bench_scale_sweep [--tier smoke|mid|full] [--seed N]"
@@ -140,28 +130,13 @@ int usage(std::FILE* to, int code) {
 int main(int argc, char** argv) {
   std::string tier = "mid";
   std::uint64_t seed = core::RunEnv::seed(42);
-  bool host_metrics = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tier" && i + 1 < argc) {
-      tier = argv[++i];
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--no-host-metrics") {
-      host_metrics = false;
-    } else if (arg == "--help" || arg == "-h") {
-      return usage(stdout, 0);
-    } else {
-      std::fprintf(stderr, "bench_scale_sweep: unknown argument '%s'\n",
-                   arg.c_str());
-      return usage(stderr, 2);
-    }
+  bool no_host_metrics = false;
+  if (const auto code = bench::parseTierArgs(
+          argc, argv, "bench_scale_sweep", usage, tier, seed,
+          "--no-host-metrics", &no_host_metrics)) {
+    return *code;
   }
-  if (tier != "smoke" && tier != "mid" && tier != "full") {
-    std::fprintf(stderr, "bench_scale_sweep: unknown tier '%s'\n",
-                 tier.c_str());
-    return usage(stderr, 2);
-  }
+  const bool host_metrics = !no_host_metrics;
 
   // The ladder. Accesses are deliberately small (4 x 64 KiB blocks, 2x
   // redundancy) so event volume — not media transfer time — dominates:
@@ -182,14 +157,10 @@ int main(int argc, char** argv) {
   if (host_metrics) std::printf(" %9s %11s", "wall s", "events/s");
   std::printf("\n");
 
-  const client::SchemeKind kinds[] = {
-      client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
-      client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore};
-
   std::vector<RowOut> rows;
   std::size_t largest_peak_live = 0;
   for (const Rung& rung : rungs) {
-    for (const auto kind : kinds) {
+    for (const auto kind : client::kAllSchemes) {
       core::MultiClientConfig cfg;
       cfg.num_servers = rung.num_servers;
       cfg.disks_per_server = rung.disks_per_server;
@@ -348,16 +319,7 @@ int main(int argc, char** argv) {
       appendNum(out, "speedup", speedup);
     }
     out += "}\n}\n";
-    const std::string path = *dir + "/BENCH_scale_sweep.json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      std::printf("\njson trajectory written to %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "bench_scale_sweep: cannot write %s\n",
-                   path.c_str());
-    }
+    bench::writeArtifact(*dir, "scale_sweep", out, "bench_scale_sweep");
   }
   return 0;
 }

@@ -86,59 +86,14 @@ int main() {
   using namespace robustore;
   using bench::SweepPoint;
 
-  core::ExperimentConfig base = bench::baselineConfig();
-  base.num_servers = 4;
-  base.disks_per_server = 4;
-  base.disks_per_access = 16;
-  base.access.k = 128;  // 128 MB: keeps the sweep fast at paper trends
-  base.access.redundancy = 3.0;
-  base.access.timeout = 120.0;
-  base.access.request_timeout = 30.0;
-  base.access.max_reissues = 4;
+  core::ExperimentConfig base = bench::failureSweepConfig();
   // Always-on recorder: one access per trial, so keep_slowest = 1 retains
   // every access and the pool over all trials is the full population —
   // the p99 cut is over real latencies, not a pre-filtered sample.
   base.flight = true;
   base.flight_config.keep_slowest = 1;
   base.flight_config.ring_events = 128;
-
-  const auto scripted = [&](std::initializer_list<fault::FaultSpec> specs) {
-    core::ExperimentConfig cfg = base;
-    cfg.faults.scripted = specs;
-    return cfg;
-  };
-
-  using fault::FaultKind;
-  const SimTime at = 50.0 * kMilliseconds;  // mid-access
-  std::vector<SweepPoint> points;
-  points.push_back({"none", base});
-  points.push_back(
-      {"failstop-1", scripted({{0, FaultKind::kFailStop, at, 0.0, 1.0}})});
-  points.push_back(
-      {"failstop-2", scripted({{0, FaultKind::kFailStop, at, 0.0, 1.0},
-                               {1, FaultKind::kFailStop, at, 0.0, 1.0}})});
-  points.push_back({"crash-100ms", scripted({{0, FaultKind::kCrashRecover, at,
-                                              100.0 * kMilliseconds, 1.0}})});
-  points.push_back(
-      {"stall-50ms", scripted({{0, FaultKind::kTransientStall, at,
-                                50.0 * kMilliseconds, 1.0},
-                               {1, FaultKind::kTransientStall, at,
-                                50.0 * kMilliseconds, 1.0}})});
-  {
-    core::ExperimentConfig cfg = base;
-    cfg.faults.model.straggler_prob = 0.25;
-    cfg.faults.model.straggler_min = 3.0;
-    cfg.faults.model.straggler_max = 6.0;
-    points.push_back({"straggler", cfg});
-  }
-  {
-    core::ExperimentConfig cfg = base;
-    cfg.faults.model.fail_stop_prob = 0.1;
-    cfg.faults.model.crash_prob = 0.1;
-    cfg.faults.model.mean_outage = 0.2;
-    cfg.faults.model.horizon = 0.2;
-    points.push_back({"stochastic", cfg});
-  }
+  const std::vector<SweepPoint> points = bench::failureScenarios(base);
 
   bench::banner("tail_attribution",
                 "tail blame under mid-access faults: 128 MB, 16 disks, 3x");
@@ -220,15 +175,8 @@ int main() {
   json += "]}\n";
 
   if (const auto dir = core::RunEnv::jsonDir()) {
-    const std::string path = *dir + "/BENCH_tail_attribution.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("\n[json] wrote %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "tail_attribution: cannot write %s\n",
-                   path.c_str());
-    }
+    bench::writeArtifact(*dir, "tail_attribution", json, "tail_attribution",
+                         "\n[json] wrote ");
   }
   return 0;
 }

@@ -8,6 +8,7 @@
 //     (ROBUSTORE_JSON=1 writes to the working directory; any other value
 //     is used as the target directory).
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,6 +18,34 @@
 #include "telemetry/host_profiler.hpp"
 
 namespace robustore::bench {
+
+/// `, "key": v` — the number formats of every BENCH_*.json.
+inline void appendNum(std::string& out, const char* key, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), ", \"%s\": %.6g", key, v);
+  out += buf;
+}
+inline void appendCount(std::string& out, const char* key, std::uint64_t v) {
+  out += ", \"";
+  out += key;
+  out += "\": " + std::to_string(v);
+}
+
+/// Writes `text` as <dir>/BENCH_<id>.json and prints `note` plus the path,
+/// or complains on stderr as "<who>: cannot write <path>".
+inline void writeArtifact(const std::string& dir, const std::string& id,
+                          const std::string& text, const char* who,
+                          const char* note = "\njson trajectory written to ") {
+  const std::string path = dir + "/BENCH_" + id + ".json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  const bool ok = f != nullptr &&
+                  std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f != nullptr && std::fclose(f) == 0 && ok) {
+    std::printf("%s%s\n", note, path.c_str());
+  } else {
+    std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
+  }
+}
 
 /// One (sweep label, scheme) cell: the three §6.2.3 paper metrics plus
 /// the latency tail the stddev only summarises.
@@ -157,12 +186,8 @@ class Reporter {
     printIncompleteNote();
     if (core::RunEnv::csv()) emitCsv(stdout);
     if (const auto dir = core::RunEnv::jsonDir()) {
-      const std::string path = *dir + "/BENCH_" + id_ + ".json";
-      if (writeJsonFile(path)) {
-        std::printf("json trajectory written to %s\n", path.c_str());
-      } else {
-        std::fprintf(stderr, "reporter: cannot write %s\n", path.c_str());
-      }
+      writeArtifact(*dir, id_, json(), "reporter",
+                    "json trajectory written to ");
     }
     std::printf("\n");
   }
@@ -199,38 +224,38 @@ class Reporter {
       const auto& r = rows_[i];
       out += "    {\"label\": \"" + escape(r.label) + "\", \"scheme\": \"" +
              escape(r.scheme) + "\"";
-      appendNumber(out, "bandwidth_mbps", r.bandwidth_mbps);
-      appendNumber(out, "latency_mean_s", r.latency_mean_s);
-      appendNumber(out, "latency_stddev_s", r.latency_stddev_s);
-      appendNumber(out, "latency_p50_s", r.latency_p50_s);
-      appendNumber(out, "latency_p95_s", r.latency_p95_s);
-      appendNumber(out, "io_overhead", r.io_overhead);
-      appendNumber(out, "reception_overhead", r.reception_overhead);
+      appendNum(out, "bandwidth_mbps", r.bandwidth_mbps);
+      appendNum(out, "latency_mean_s", r.latency_mean_s);
+      appendNum(out, "latency_stddev_s", r.latency_stddev_s);
+      appendNum(out, "latency_p50_s", r.latency_p50_s);
+      appendNum(out, "latency_p95_s", r.latency_p95_s);
+      appendNum(out, "io_overhead", r.io_overhead);
+      appendNum(out, "reception_overhead", r.reception_overhead);
       // Like the stage fields below: emitted only when observed, so
       // cache-free reports stay byte-identical to earlier versions.
       if (cacheUsed()) {
-        appendNumber(out, "cache_hits_mean", r.cache_hits_mean);
+        appendNum(out, "cache_hits_mean", r.cache_hits_mean);
       }
-      appendNumber(out, "failures_survived_mean", r.failures_survived_mean);
-      appendNumber(out, "reissued_requests_mean", r.reissued_requests_mean);
-      appendNumber(out, "time_lost_s", r.time_lost_s);
+      appendNum(out, "failures_survived_mean", r.failures_survived_mean);
+      appendNum(out, "reissued_requests_mean", r.reissued_requests_mean);
+      appendNum(out, "time_lost_s", r.time_lost_s);
       // Stage fields appear only in traced runs, keeping untraced output
       // byte-identical to pre-tracing reports.
       for (std::uint8_t s = 0; s < trace::kNumStages; ++s) {
         if (!stageUsed(s)) continue;
-        appendNumber(out, stageKey(s).c_str(), r.stage_mean_s[s]);
+        appendNum(out, stageKey(s).c_str(), r.stage_mean_s[s]);
       }
       // Quantile fields follow the same conditional-emission pattern.
       if (quantilesUsed()) {
-        appendNumber(out, "latency_p99_s", r.latency_p99_s);
-        appendNumber(out, "latency_p999_s", r.latency_p999_s);
+        appendNum(out, "latency_p99_s", r.latency_p99_s);
+        appendNum(out, "latency_p999_s", r.latency_p999_s);
         for (std::uint8_t s = 0; s < trace::kNumStages; ++s) {
           if (!stageUsed(s)) continue;
-          appendNumber(out, stageKey(s, "_p50_s").c_str(),
+          appendNum(out, stageKey(s, "_p50_s").c_str(),
                        r.stage_p50_s[s]);
-          appendNumber(out, stageKey(s, "_p99_s").c_str(),
+          appendNum(out, stageKey(s, "_p99_s").c_str(),
                        r.stage_p99_s[s]);
-          appendNumber(out, stageKey(s, "_p999_s").c_str(),
+          appendNum(out, stageKey(s, "_p999_s").c_str(),
                        r.stage_p999_s[s]);
         }
       }
@@ -245,7 +270,7 @@ class Reporter {
     if (!hp.empty()) {
       out += ",\n  \"host_profile\": {";
       out += "\"trials\": " + std::to_string(hp.trials);
-      appendNumber(out, "wall_s", hp.wall_seconds);
+      appendNum(out, "wall_s", hp.wall_seconds);
       out += ", \"scopes\": {";
       for (std::size_t s = 0; s < telemetry::kNumHostScopes; ++s) {
         if (s > 0) out += ", ";
@@ -261,14 +286,6 @@ class Reporter {
     }
     out += "\n}\n";
     return out;
-  }
-
-  [[nodiscard]] bool writeJsonFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string text = json();
-    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    return std::fclose(f) == 0 && ok;
   }
 
  private:
@@ -371,12 +388,6 @@ class Reporter {
       }
     }
     return out;
-  }
-
-  static void appendNumber(std::string& out, const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ", \"%s\": %.6g", key, v);
-    out += buf;
   }
 
   std::string id_;

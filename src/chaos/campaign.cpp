@@ -12,6 +12,7 @@
 #include "coding/lt_codec.hpp"
 #include "common/expects.hpp"
 #include "common/rng.hpp"
+#include "core/stack.hpp"
 #include "fault/fault.hpp"
 #include "repair/repair.hpp"
 #include "sim/engine.hpp"
@@ -121,19 +122,21 @@ struct AccessRun {
 CampaignResult runCampaign(const CampaignPlan& plan,
                            const InvariantRegistry& registry) {
   ROBUSTORE_EXPECTS(plan.accesses > 0, "campaign needs at least one access");
-  sim::Engine engine;
+  client::ClusterConfig cc;
+  cc.num_servers = plan.num_servers;
+  cc.server.disks_per_server = plan.disks_per_server;
+  core::Stack stack(cc, Rng(plan.seed ^ core::salt::kCluster));
+  sim::Engine& engine = stack.engine();
+  client::Cluster& cluster = stack.cluster();
 
+  // The clock check owns the engine's time-observer slot (the stack
+  // samples no telemetry here).
   bool clock_monotone = true;
   SimTime last_time = 0.0;
   engine.setTimeObserver([&](SimTime t) {
     if (t < last_time) clock_monotone = false;
     last_time = t;
   });
-
-  client::ClusterConfig cc;
-  cc.num_servers = plan.num_servers;
-  cc.server.disks_per_server = plan.disks_per_server;
-  client::Cluster cluster(engine, cc, Rng(plan.seed ^ 0xC1u));
 
   auto scheme = client::makeScheme(plan.scheme, cluster, coding::LtParams{});
   auto* robu = dynamic_cast<client::RobuStoreScheme*>(scheme.get());
@@ -152,7 +155,7 @@ CampaignResult runCampaign(const CampaignPlan& plan,
       plan.unclamped_backoff ? 1e18 : plan.access.max_reissue_delay;
   acfg.heal_on_read = plan.scheme != client::SchemeKind::kRaid0;
 
-  Rng trial_rng(plan.seed * 0x9e3779b97f4a7c15ULL + 1);
+  Rng trial_rng = streamRng(plan.seed, 0);
   const std::vector<std::uint32_t> roster =
       cluster.selectDisks(plan.disks_per_access, trial_rng);
   client::LayoutPolicy policy;
@@ -163,13 +166,12 @@ CampaignResult runCampaign(const CampaignPlan& plan,
 
   // Background repair for every redundant scheme. The horizon stops the
   // periodic scan from self-rescheduling forever in the final drain.
-  std::unique_ptr<repair::RepairService> svc;
   if (plan.scheme != client::SchemeKind::kRaid0) {
     repair::RepairConfig rcfg;
     rcfg.scan_interval = plan.scan_interval;
     rcfg.bandwidth_budget = plan.repair_budget;
     rcfg.horizon = plan.deadline;
-    svc = std::make_unique<repair::RepairService>(cluster, rcfg);
+    repair::RepairService& svc = stack.addRepair(rcfg);
     repair::RepairPolicy rpolicy;
     rpolicy.k = plan.k;
     switch (plan.scheme) {
@@ -184,46 +186,38 @@ CampaignResult runCampaign(const CampaignPlan& plan,
         rpolicy.klass = repair::RedundancyClass::kLt;
         break;
     }
-    svc->protect(file, rpolicy);
-    svc->start();
+    svc.protect(file, rpolicy);
+    svc.start();
   }
-  repair::RepairService* svc_raw = svc.get();
+  repair::RepairService* svc = stack.repair();
 
-  fault::FaultInjector injector(
-      engine, [&cluster, &roster](std::uint32_t i) -> disk::Disk& {
-        return cluster.disk(roster[i % roster.size()]);
-      });
+  // Fault index i targets the file's placement i (placements follow the
+  // roster).
+  fault::FaultInjector& injector = stack.injectFaults(roster);
 
   // Corruption lands on the file layer: flag the stored block so the
   // reader's checksum rejects it, then tell repair the slot is damaged.
-  injector.setCorruptionApplier([&file,
-                                 svc_raw](const fault::CorruptionSpec& spec) {
-    const std::uint32_t p =
-        spec.disk % static_cast<std::uint32_t>(file.placements.size());
-    const auto& stored = file.placements[p].stored;
-    if (stored.empty()) return;
-    file.corruptBlock(p, spec.block % static_cast<std::uint32_t>(
-                                          stored.size()));
-    if (svc_raw != nullptr) svc_raw->onBlockCorrupted(file, p);
-  });
+  injector.setCorruptionApplier(
+      [&file, svc](const fault::CorruptionSpec& spec) {
+        const std::uint32_t p =
+            spec.disk % static_cast<std::uint32_t>(file.placements.size());
+        const auto& stored = file.placements[p].stored;
+        if (stored.empty()) return;
+        file.corruptBlock(
+            p, spec.block % static_cast<std::uint32_t>(stored.size()));
+        if (svc != nullptr) svc->onBlockCorrupted(file, p);
+      });
 
-  // Churn wiring: failures flow into the repair service's liveness view;
-  // a replacement arrives *empty*, which the file layer models as every
-  // previously stored block on the slot being unreadable (corrupt) until
-  // a repair or restore rewrites it.
-  injector.setChurnListener([&](const fault::ChurnEvent& ev) {
+  // Churn: a replacement arrives *empty*, which the file layer models as
+  // every previously stored block on the slot being unreadable (corrupt)
+  // until a repair or restore rewrites it.
+  stack.repairOnChurn([&file](std::uint32_t disk) {
     const std::uint32_t p =
-        ev.disk % static_cast<std::uint32_t>(file.placements.size());
-    const std::uint32_t global = file.placements[p].global_disk;
-    if (ev.kind == fault::ChurnEventKind::kPermanentFailure) {
-      if (svc_raw != nullptr) svc_raw->onDiskFailed(global);
-      return;
-    }
+        disk % static_cast<std::uint32_t>(file.placements.size());
     const auto& stored = file.placements[p].stored;
     for (std::uint32_t pos = 0; pos < stored.size(); ++pos) {
       file.corruptBlock(p, pos);
     }
-    if (svc_raw != nullptr) svc_raw->onDiskReplaced(global);
   });
 
   std::vector<fault::FaultSpec> specs;
@@ -267,14 +261,11 @@ CampaignResult runCampaign(const CampaignPlan& plan,
   // Scripted fail-stops bypass the churn listener, so pair each with its
   // own repair notification. Scheduled after the injector batches: same
   // timestamp, later sequence number — the disk is down when it fires.
-  if (svc_raw != nullptr) {
+  if (svc != nullptr) {
     for (const ChaosEvent& e : plan.events) {
       if (e.verb != ChaosVerb::kFailStop) continue;
-      const std::uint32_t global =
-          file.placements[e.disk % file.placements.size()].global_disk;
-      engine.schedule(e.at, [svc_raw, global] {
-        svc_raw->onDiskFailed(global);
-      });
+      const std::uint32_t global = stack.rosterDisk(e.disk);
+      engine.schedule(e.at, [svc, global] { svc->onDiskFailed(global); });
     }
   }
 
@@ -283,7 +274,7 @@ CampaignResult runCampaign(const CampaignPlan& plan,
   if (robu != nullptr) {
     auto data = std::make_shared<std::vector<std::uint8_t>>(
         acfg.dataBytes());
-    Rng fill(plan.seed ^ 0xDA7A11A5ULL);
+    Rng fill(plan.seed ^ core::salt::kChaosData);
     for (std::size_t i = 0; i < data->size(); i += 8) {
       const std::uint64_t word = fill();
       for (std::size_t b = 0; b < 8 && i + b < data->size(); ++b) {
@@ -331,15 +322,13 @@ CampaignResult runCampaign(const CampaignPlan& plan,
   };
   engine.schedule(0.0, [&launch] { launch(0); });
 
-  engine.runUntil(plan.deadline);
-  // Deterministic quiesce at the deadline: settle every session's tracked
-  // reads (an unterminated access stays unterminated — that is the
-  // completion invariant's business), then drain in-flight disk work for
-  // final byte accounting.
-  for (auto& run : runs) {
-    if (run->outcome.started) scheme->abortRead(run->session);
-  }
-  engine.run();
+  // An unterminated access stays unterminated through the abort: that is
+  // the completion invariant's business.
+  stack.quiesce(plan.deadline, [&] {
+    for (auto& run : runs) {
+      if (run->outcome.started) scheme->abortRead(run->session);
+    }
+  });
 
   CampaignResult result;
   Observations& obs = result.observations;
@@ -365,7 +354,7 @@ CampaignResult runCampaign(const CampaignPlan& plan,
   obs.churn_replacements = injector.churnReplacements();
   obs.corruptions_injected = injector.corruptionsInjected();
 
-  if (svc) {
+  if (svc != nullptr) {
     obs.repair_active = true;
     obs.repair = svc->stats();
     obs.pending_repairs = svc->pendingRepairs();

@@ -43,10 +43,7 @@ bool CampaignPlan::destructive() const {
 CampaignPlan planFromSeed(std::uint64_t seed) {
   CampaignPlan plan;
   plan.seed = seed;
-  static constexpr client::SchemeKind kKinds[] = {
-      client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
-      client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore};
-  plan.scheme = kKinds[seed % 4];
+  plan.scheme = client::kAllSchemes[seed % 4];
   Rng rng(seed ^ 0xC7A05EEDULL);
 
   switch (plan.scheme) {

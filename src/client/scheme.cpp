@@ -95,12 +95,13 @@ void Scheme::beginRead(Session& session, StoredFile& file,
     // Stream + rng drawn only when healing is on: a non-healing run must
     // see exactly the stream-id sequence it always did.
     heal_stream_ = cluster_->nextStream();
-    heal_rng_ = Rng(file.file_id * 0x9e3779b97f4a7c15ULL + 0x48EA1ULL);
+    heal_rng_ = streamRng(file.file_id, 0x48EA0);
   }
   session.start = engine().now();
   if (auto* fr = flightRecorder(); fr != nullptr) {
-    // Reads only: heal/repair streams and writes never open a ring, so
-    // their spans are ignored by the recorder's stream filter.
+    // Heal/repair streams never open a ring, so their spans are ignored
+    // by the recorder's stream filter (writes open one only when traced,
+    // see write()).
     fr->beginAccess(session.stream, session.start);
   }
   engine().schedule(config.metadata_latency,
@@ -203,16 +204,13 @@ metrics::AccessMetrics Scheme::collect(const Session& session,
   m.failures_survived = session.failures_observed;
   m.reissued_requests = session.reissued_requests;
   m.time_lost_to_failures = session.time_lost_to_failures;
-  if (const trace::Tracer* t = cluster_->tracer(); t != nullptr) {
-    if (t->enabled()) {
-      m.stages = t->breakdown(session.stream);
-    } else if (const trace::FlightRecorder* fr = t->sink(); fr != nullptr) {
-      // Recorder-only mode: the recorder maintained the same addSpan
-      // sums the tracer would have — O(1), and scoped to the latest
-      // access when campaigns reuse stream ids.
-      if (const auto* b = fr->lastBreakdown(session.stream); b != nullptr) {
-        m.stages = *b;
-      }
+  // The one per-access stage source: the recorder riding on the tracer
+  // (O(1), and scoped to the latest access when a stream id is reused).
+  const trace::Tracer* t = cluster_->tracer();
+  if (const trace::FlightRecorder* fr = t != nullptr ? t->sink() : nullptr;
+      fr != nullptr) {
+    if (const auto* b = fr->lastBreakdown(session.stream); b != nullptr) {
+      m.stages = *b;
     }
   }
   return m;
@@ -412,6 +410,11 @@ metrics::AccessMetrics Scheme::write(const AccessConfig& config,
   session.stream = cluster_->nextStream();
   cluster_->startBackground();
   session.start = engine().now();
+  if (auto* fr = flightRecorder(); fr != nullptr && tracer()->enabled()) {
+    // Traced runs report write stage sums too, and the recorder is where
+    // collect() reads them; the always-on recorder mode stays reads-only.
+    fr->beginAccess(session.stream, session.start);
+  }
 
   StoredFile file;
   file.file_id = cluster_->nextFileId();

@@ -25,6 +25,11 @@ enum class SchemeKind : std::uint8_t {
   kRobuStore,  // LT-coded redundancy + speculative access
 };
 
+/// The §6.2.1 roster in report order.
+inline constexpr SchemeKind kAllSchemes[] = {
+    SchemeKind::kRaid0, SchemeKind::kRRaidS, SchemeKind::kRRaidA,
+    SchemeKind::kRobuStore};
+
 [[nodiscard]] const char* schemeName(SchemeKind kind);
 
 /// Per-access knobs shared by every scheme.

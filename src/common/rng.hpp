@@ -95,4 +95,12 @@ class Rng {
   std::uint64_t state_[4] = {};
 };
 
+/// Stream `index` of the family seeded by `seed` — trial i of an
+/// experiment, client i of a campaign. Pure in (seed, index), so a job can
+/// build its own stream without replaying the ones before it. Every
+/// indexed stream in the simulator is derived here (DESIGN.md §"Seeds").
+[[nodiscard]] inline Rng streamRng(std::uint64_t seed, std::uint64_t index) {
+  return Rng(seed * 0x9e3779b97f4a7c15ULL + index + 1);
+}
+
 }  // namespace robustore

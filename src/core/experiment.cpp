@@ -7,22 +7,18 @@
 #include <vector>
 
 #include "common/expects.hpp"
+#include "core/stack.hpp"
 #include "core/telemetry_probes.hpp"
 #include "core/trial_pool.hpp"
 
 namespace robustore::core {
 namespace {
 
-constexpr client::SchemeKind kSchemeOrder[] = {
-    client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
-    client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore};
-
-/// Builds the per-trial simulated testbed. Every random stream is derived
-/// from config.seed alone, so each trial reconstructs an identical
-/// cluster; only the trial stream (disk selection, layout draws) varies
-/// with the trial index.
-client::Cluster makeCluster(const ExperimentConfig& config,
-                            sim::Engine& engine) {
+/// The experiment's cluster. Its stream derives from config.seed alone, so
+/// every trial rebuilds an identical testbed; only the trial stream (disk
+/// selection, layout draws) varies with the trial index — and it is the
+/// same stream for every scheme, so schemes see comparable trials.
+client::ClusterConfig clusterConfig(const ExperimentConfig& config) {
   client::ClusterConfig cc;
   cc.num_servers = config.num_servers;
   cc.server.disks_per_server = config.disks_per_server;
@@ -31,7 +27,7 @@ client::Cluster makeCluster(const ExperimentConfig& config,
   cc.server.round_trip = config.round_trip;
   cc.server.nic_bandwidth = config.nic_bandwidth;
   cc.client_bandwidth = config.client_bandwidth;
-  return client::Cluster(engine, cc, Rng(config.seed ^ 0xc1u));
+  return cc;
 }
 
 void applyExperimentBackground(const ExperimentConfig& config,
@@ -42,23 +38,10 @@ void applyExperimentBackground(const ExperimentConfig& config,
     cluster.setUniformBackground(bg);
   } else if (config.background ==
              ExperimentConfig::Background::kHeterogeneousStatic) {
-    Rng bg_rng(config.seed ^ 0xb6u);
+    Rng bg_rng(config.seed ^ salt::kStaticBackground);
     cluster.randomizeBackground(config.bg_interval_min,
                                 config.bg_interval_max, bg_rng);
   }
-}
-
-/// Identical per-trial streams across schemes: disk selection and layout
-/// draws come from the same sequence regardless of the scheme kind.
-Rng trialRng(const ExperimentConfig& config, std::uint32_t trial_index) {
-  return Rng(config.seed * 0x9e3779b97f4a7c15ULL + trial_index + 1);
-}
-
-/// Fault draws live on their own stream, also pure in (seed, trial), so
-/// enabling faults never perturbs disk selection or layout draws.
-Rng faultRng(const ExperimentConfig& config, std::uint32_t trial_index) {
-  return Rng((config.seed ^ 0xFA17FA17u) * 0x9e3779b97f4a7c15ULL +
-             trial_index + 1);
 }
 
 /// The trial's access disks. The trial stream first redraws per-access
@@ -116,36 +99,28 @@ TrialAccess runAccess(const ExperimentConfig& config, client::Scheme& scheme,
 }
 
 /// Arms the trial's fault schedule against its selected access disks.
+/// Fault and churn draws live on their own streams, pure in (seed, trial)
+/// and independent of each other, so enabling either never perturbs disk
+/// selection, layout draws or the other's schedule.
 void armFaults(const ExperimentConfig& config, std::uint32_t trial_index,
-               client::Cluster& cluster,
-               std::span<const std::uint32_t> disks,
-               std::optional<fault::FaultInjector>& injector) {
+               Stack& stack, std::span<const std::uint32_t> disks) {
   if (!config.faults.enabled()) return;
   const auto num_disks = static_cast<std::uint32_t>(disks.size());
-  // Copy the roster: the injector's resolver outlives this call.
-  std::vector<std::uint32_t> roster(disks.begin(), disks.end());
-  injector.emplace(cluster.engine(),
-                   [&cluster, roster = std::move(roster)](
-                       std::uint32_t i) -> disk::Disk& {
-                     return cluster.disk(roster[i % roster.size()]);
-                   });
+  fault::FaultInjector& injector =
+      stack.injectFaults({disks.begin(), disks.end()});
   for (const auto& spec : config.faults.scripted) {
     ROBUSTORE_EXPECTS(spec.disk < num_disks,
                       "scripted fault targets a disk outside the access");
-    injector->schedule(spec);
+    injector.schedule(spec);
   }
   if (config.faults.model.enabled()) {
-    Rng rng = faultRng(config, trial_index);
-    injector->scheduleAll(
-        fault::FaultInjector::drawSchedule(config.faults.model, num_disks,
-                                           rng));
+    Rng rng = streamRng(config.seed ^ salt::kFaultModel, trial_index);
+    injector.scheduleAll(fault::FaultInjector::drawSchedule(
+        config.faults.model, num_disks, rng));
   }
   if (config.faults.churn.enabled()) {
-    // Own derivation, not a continuation of the model's stream: enabling
-    // churn must not shift the model draws (and vice versa).
-    Rng rng((config.seed ^ 0xC4024E11u) * 0x9e3779b97f4a7c15ULL +
-            trial_index + 1);
-    injector->scheduleChurn(fault::FaultInjector::drawChurn(
+    Rng rng = streamRng(config.seed ^ salt::kChurn, trial_index);
+    injector.scheduleChurn(fault::FaultInjector::drawChurn(
         config.faults.churn, num_disks, rng));
   }
 }
@@ -172,70 +147,48 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
   // everything below to this trial and merges it into the global snapshot
   // on exit (no-op unless ROBUSTORE_HOST_PROFILE is set).
   const telemetry::HostProfiler::TrialGuard host_profile;
-  sim::Engine engine;
-  client::Cluster cluster = makeCluster(config, engine);
+  telemetry::Timeline discard_timeline;
+  Stack stack(clusterConfig(config), Rng(config.seed ^ salt::kCluster));
+  client::Cluster& cluster = stack.cluster();
   applyExperimentBackground(config, cluster);
   auto scheme = client::makeScheme(kind, cluster, config.lt, config.codec);
+  // Trial-local observers keep records out of shared state; the caller
+  // merges per-trial tracers and recorders in trial order, which is what
+  // makes observed parallel runs byte-identical to serial ones.
+  stack.observe(config.trace || trace_out != nullptr,
+                config.flight || flight_out != nullptr, config.flight_config);
 
-  // The trial-local tracer keeps records out of shared state; the caller
-  // merges per-trial tracers in trial order, which is what makes traced
-  // parallel runs byte-identical to serial ones.
-  std::optional<trace::Tracer> tracer;
-  std::optional<trace::FlightRecorder> recorder;
-  const bool want_trace = config.trace || trace_out != nullptr;
-  const bool want_flight = config.flight || flight_out != nullptr;
-  if (want_trace || want_flight) {
-    // Recorder-only mode rides a *disabled* tracer: every existing
-    // `if (tracer_)` instrumentation site fires, the sink sees the
-    // events, and the tracer itself allocates nothing.
-    tracer.emplace(want_trace);
-    if (want_flight) {
-      recorder.emplace(config.flight_config);
-      tracer->setSink(&*recorder);
-    }
-    cluster.attachTracer(&*tracer);
-  }
-
-  Rng trial_rng = trialRng(config, trial_index);
+  Rng trial_rng = streamRng(config.seed, trial_index);
   const auto disks = selectTrialDisks(config, cluster, trial_rng);
-  std::optional<fault::FaultInjector> injector;
-  armFaults(config, trial_index, cluster, disks, injector);
-  if (tracer && injector) injector->setTracer(&*tracer);
+  armFaults(config, trial_index, stack, disks);
 
-  // Telemetry sampling: driven purely through the engine's time observer,
-  // so it consumes zero events and zero rng draws — the simulated results
-  // are bitwise identical with it on or off.
+  // Sampling draws no events or rng. Without telemetry_out the series
+  // land in a trial-local timeline (traced runs still get counter tracks).
   SimTime sample_dt = config.sample_dt;
   if (telemetry_out != nullptr && sample_dt <= 0.0) {
     sample_dt = 10.0 * kMilliseconds;
   }
-  telemetry::Timeline discard_timeline;
-  std::optional<telemetry::PeriodicSampler> sampler;
+  telemetry::PeriodicSampler* sampler = nullptr;
   if (sample_dt > 0.0) {
-    telemetry::Timeline& timeline = telemetry_out != nullptr
-                                        ? telemetry_out->timeline
-                                        : discard_timeline;
-    sampler.emplace(sample_dt, timeline, tracer ? &*tracer : nullptr);
-    attachStandardProbes(*sampler, cluster, *scheme, disks,
-                         injector ? &*injector : nullptr);
-    engine.setTimeObserver(
-        [&s = *sampler](SimTime now) { s.onTimeAdvance(now); });
-    sampler->sampleNow(engine.now());  // t=0 baseline
+    sampler = &stack.sample(sample_dt, telemetry_out != nullptr
+                                           ? telemetry_out->timeline
+                                           : discard_timeline);
+    attachStandardProbes(*sampler, cluster, *scheme, disks, stack.injector());
+    sampler->sampleNow(stack.engine().now());  // t=0 baseline
   }
 
   const metrics::AccessMetrics m =
       runAccess(config, *scheme, disks, trial_rng, nullptr).metrics;
-  if (sampler) {
-    sampler->sampleNow(engine.now());  // final drained state
-    engine.setTimeObserver(nullptr);
+  if (sampler != nullptr) {
+    sampler->sampleNow(stack.engine().now());  // final drained state
     if (telemetry_out != nullptr) {
       telemetry_out->sample_dt = sample_dt;
       telemetry::snapshotToRegistry(telemetry_out->timeline,
                                     telemetry_out->registry);
     }
   }
-  if (trace_out != nullptr && tracer) trace_out->append(*tracer);
-  if (flight_out != nullptr && recorder) flight_out->absorb(*recorder);
+  if (trace_out != nullptr) trace_out->append(*stack.tracer());
+  if (flight_out != nullptr) flight_out->absorb(*stack.recorder());
   return m;
 }
 
@@ -243,21 +196,12 @@ std::vector<metrics::AccessMetrics> ExperimentRunner::runCoupled(
     const ExperimentConfig& config, client::SchemeKind kind,
     client::Cluster& cluster) {
   auto scheme = client::makeScheme(kind, cluster, config.lt, config.codec);
-
-  // Coupled trials share one cluster, so they share one tracer; per-access
-  // breakdowns still separate cleanly because records carry the stream id.
-  std::optional<trace::Tracer> tracer;
-  if (config.trace) {
-    tracer.emplace();
-    cluster.attachTracer(&*tracer);
-  }
-
   std::vector<metrics::AccessMetrics> per_trial;
   per_trial.reserve(config.trials);
   std::optional<client::StoredFile> reused;
   std::vector<SimTime> bg_busy_before(cluster.numDisks(), 0.0);
   for (std::uint32_t t = 0; t < config.trials; ++t) {
-    Rng trial_rng = trialRng(config, t);
+    Rng trial_rng = streamRng(config.seed, t);
     const auto disks = selectTrialDisks(config, cluster, trial_rng);
     for (const auto d : disks) {
       bg_busy_before[d] =
@@ -285,7 +229,6 @@ std::vector<metrics::AccessMetrics> ExperimentRunner::runCoupled(
       }
     }
   }
-  if (tracer) cluster.attachTracer(nullptr);  // the cluster outlives it
   return per_trial;
 }
 
@@ -296,7 +239,7 @@ metrics::AccessAggregate ExperimentRunner::run(client::SchemeKind kind,
 
 std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runAll(
     const RunOptions& options) {
-  return runGrid(kSchemeOrder, options);
+  return runGrid(client::kAllSchemes, options);
 }
 
 std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runGrid(
@@ -313,10 +256,12 @@ std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runGrid(
   if (coupled) {
     // Each scheme's trials run in order against one long-lived cluster.
     for (std::size_t s = 0; s < kinds.size(); ++s) {
-      sim::Engine engine;
-      client::Cluster cluster = makeCluster(config_, engine);
-      applyExperimentBackground(config_, cluster);
-      std::ranges::move(runCoupled(config_, kinds[s], cluster),
+      Stack stack(clusterConfig(config_), Rng(config_.seed ^ salt::kCluster));
+      applyExperimentBackground(config_, stack.cluster());
+      // One tracer for the whole run: per-access stage sums still separate
+      // cleanly because every access has its own stream id.
+      stack.observe(config_.trace, false);
+      std::ranges::move(runCoupled(config_, kinds[s], stack.cluster()),
                         grid.begin() + static_cast<std::ptrdiff_t>(s * trials));
     }
   } else {

@@ -88,25 +88,16 @@ struct ExperimentConfig {
   bool metadata_disk_selection = false;
 
   // --- observability -----------------------------------------------------
-  /// Attach a trace::Tracer to every trial's cluster so per-access stage
-  /// breakdowns land in AccessMetrics::stages (and from there in the
-  /// aggregate / reports). Tracing never touches a random stream, so
-  /// results are bit-identical with it on or off.
+  // Observers attach through core::Stack: no engine events, no rng draws,
+  // so simulated results are bit-identical with any of them on or off.
+  /// Full trace of every trial; per-access stage sums land in
+  /// AccessMetrics::stages and the reports (ROBUSTORE_TRACE).
   bool trace = false;
-  /// Telemetry sampling interval in simulated seconds; 0 = off. When set,
-  /// every trial attaches a PeriodicSampler through the engine's time
-  /// observer — zero events, zero rng draws, so figure results stay
-  /// bitwise identical whether sampling is on or off (the determinism
-  /// guard test pins this). Usually populated from ROBUSTORE_SAMPLE_DT
-  /// (milliseconds) via RunEnv::sampleDt().
+  /// Telemetry sampling interval in simulated seconds; 0 = off
+  /// (ROBUSTORE_SAMPLE_DT, in milliseconds).
   SimTime sample_dt = 0.0;
-  /// Attach an always-on flight recorder to every trial (a disabled
-  /// tracer carries it as a sink, so the existing instrumentation sites
-  /// feed per-access event rings without allocating trace records). The
-  /// recorder schedules no engine events and draws no rng — simulated
-  /// results stay bitwise identical with it on or off. Per-trial
-  /// recorders surface through RunOptions::on_flight in trial order.
-  /// Usually populated from ROBUSTORE_FLIGHT via RunEnv::flight().
+  /// Always-on flight recorder per trial; recorders surface through
+  /// RunOptions::on_flight in trial order (ROBUSTORE_FLIGHT).
   bool flight = false;
   trace::FlightRecorderConfig flight_config;
 
@@ -170,7 +161,7 @@ class ExperimentRunner {
       const RunOptions& options = {});
 
   /// One independent trial, pure in (config, kind, trial_index): builds a
-  /// fresh engine/cluster/scheme, derives every random stream from
+  /// fresh core::Stack and scheme, derives every random stream from
   /// config.seed and trial_index, and returns the trial's metrics. This
   /// is the unit of work the pool executes; it is also the serial
   /// semantics, which is why parallel runs reproduce serial runs exactly.
@@ -204,12 +195,15 @@ class ExperimentRunner {
   }
 
   /// Runs every trial of a coupled experiment for `kind`, in trial order,
-  /// against `cluster` — one long-lived cluster (run() and runAll() build
-  /// it from `config` like runTrial's) whose state (filer caches, the metadata server's load records) carries from
-  /// trial to trial. Returns the per-trial metrics. After each access the
-  /// client reports the background load it saw on the access disks to the
-  /// metadata server (§4.2), except after a read-after-write whose write
-  /// failed. The caller owns the cluster, so it can inspect that state.
+  /// against `cluster`: one long-lived cluster whose state (filer caches,
+  /// the metadata server's load records) carries from trial to trial.
+  /// run() and runAll() build it, like runTrial's, on a core::Stack that
+  /// also attaches the tracer when config.trace is set; a caller passing
+  /// its own cluster owns its observers. Returns the per-trial metrics.
+  /// After each access the client reports the background load it saw on
+  /// the access disks to the metadata server (§4.2), except after a
+  /// read-after-write whose write failed. The caller owns the cluster, so
+  /// it can inspect that state afterwards.
   [[nodiscard]] static std::vector<metrics::AccessMetrics> runCoupled(
       const ExperimentConfig& config, client::SchemeKind kind,
       client::Cluster& cluster);

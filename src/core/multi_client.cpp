@@ -5,8 +5,7 @@
 #include <numeric>
 
 #include "common/expects.hpp"
-#include "core/experiment.hpp"
-#include "sim/engine.hpp"
+#include "core/stack.hpp"
 
 namespace robustore::core {
 namespace {
@@ -51,7 +50,6 @@ MultiClientExperiment::MultiClientExperiment(MultiClientConfig config)
 }
 
 MultiClientResult MultiClientExperiment::run() {
-  sim::Engine engine;
   client::ClusterConfig cc;
   cc.num_servers = config_.num_servers;
   cc.server.disks_per_server = config_.disks_per_server;
@@ -59,18 +57,10 @@ MultiClientResult MultiClientExperiment::run() {
   cc.server.round_trip = config_.round_trip;
   cc.server.nic_bandwidth = config_.nic_bandwidth;
   cc.server.admission = config_.admission;
-  client::Cluster cluster(engine, cc, Rng(config_.seed ^ 0x5eedu));
-
-  // Always-on recorder mode: the tracer stays disabled (no records, no
-  // allocation), its sink sees every span/instant the instrumentation
-  // sites already emit.
-  std::shared_ptr<trace::FlightRecorder> recorder;
-  trace::Tracer flight_tracer(false);
-  if (config_.flight) {
-    recorder = std::make_shared<trace::FlightRecorder>(config_.flight_config);
-    flight_tracer.setSink(recorder.get());
-    cluster.attachTracer(&flight_tracer);
-  }
+  Stack stack(cc, Rng(config_.seed ^ salt::kMultiClientCluster));
+  sim::Engine& engine = stack.engine();
+  client::Cluster& cluster = stack.cluster();
+  stack.observe(/*trace=*/false, config_.flight, config_.flight_config);
 
   const bool campaign = config_.accesses_per_client > 1;
   std::vector<ClientState> clients(config_.num_clients);
@@ -204,7 +194,7 @@ MultiClientResult MultiClientExperiment::run() {
     ClientState& c = clients[i];
     c.scheme = client::makeScheme(config_.scheme, cluster,
                                   coding::LtParams{});
-    c.rng = Rng(config_.seed * 0x9e3779b97f4a7c15ULL + i + 1);
+    c.rng = streamRng(config_.seed, i);
     c.session->stream = cluster.nextStream();
     storm.push_back({config_.stagger * i, [&, i] { startClient(i); }});
   }
@@ -213,19 +203,15 @@ MultiClientResult MultiClientExperiment::run() {
   const SimTime deadline = config_.run_deadline > 0.0
                                ? config_.run_deadline
                                : config_.access.timeout;
-  engine.runUntil(deadline);
-  experiment_over = true;
-  // Deterministic quiesce: settle every live tracked read at the deadline
-  // (cancelling its watchdog/retry events) instead of letting reissue
-  // chains replay to their natural end during the drain — with long
-  // request timeouts the drain otherwise runs arbitrarily far past the
-  // deadline. Aborting finished/retired sessions is a no-op beyond
-  // releasing their leftover speculative-tail events.
-  for (auto& c : clients) {
-    if (c.started) c.scheme->abortRead(*c.session);
-  }
-  for (auto& [scheme, session] : retired) scheme->abortRead(*session);
-  engine.run();  // drain in-flight service for final byte accounting
+  // Aborting finished/retired sessions only releases their leftover
+  // speculative-tail events.
+  stack.quiesce(deadline, [&] {
+    experiment_over = true;
+    for (auto& c : clients) {
+      if (c.started) c.scheme->abortRead(*c.session);
+    }
+    for (auto& [scheme, session] : retired) scheme->abortRead(*session);
+  });
   result.drained_at = engine.now();
 
   result.clients_completed = completed;
@@ -253,7 +239,10 @@ MultiClientResult MultiClientExperiment::run() {
   result.events_scheduled = stats.scheduled;
   result.events_fired = stats.fired;
   result.peak_live_events = stats.peak_live;
-  result.flight = std::move(recorder);
+  if (config_.flight) {
+    result.flight =
+        std::make_shared<trace::FlightRecorder>(std::move(*stack.recorder()));
+  }
   return result;
 }
 

@@ -57,10 +57,8 @@ struct MultiClientConfig {
   /// (the legacy bound, right for single accesses).
   SimTime run_deadline = 0.0;
 
-  /// Always-on flight recorder over the whole campaign (a disabled
-  /// tracer carries it as sink). Zero engine events, zero rng draws —
-  /// every simulated result in MultiClientResult is bitwise identical
-  /// with it on or off; the recorder surfaces via
+  /// Always-on flight recorder over the whole campaign (core::Stack);
+  /// results are bitwise identical with it on or off. Surfaces via
   /// MultiClientResult::flight.
   bool flight = false;
   trace::FlightRecorderConfig flight_config;

@@ -26,15 +26,31 @@ void warnOnce(const char* name, const char* raw, const char* expected) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parseUnsigned(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parseReal(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::optional<std::uint64_t> RunEnv::count(const char* name) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return std::nullopt;
-  std::uint64_t value = 0;
-  const char* end = raw + std::strlen(raw);
-  const auto [ptr, ec] = std::from_chars(raw, end, value);
-  // Strict: the whole string must be a decimal count ("8", not "8x" or
-  // " 8"), it must fit, and zero is as meaningless as unset.
-  if (ec != std::errc{} || ptr != end || value == 0) {
+  // Strict: the whole string must be a decimal count that fits, and zero
+  // is as meaningless as unset.
+  const auto value = parseUnsigned(raw);
+  if (!value || *value == 0) {
     warnOnce(name, raw, "positive integer");
     return std::nullopt;
   }
@@ -71,14 +87,12 @@ std::uint64_t RunEnv::seed(std::uint64_t fallback) {
 SimTime RunEnv::sampleDt() {
   const char* raw = std::getenv("ROBUSTORE_SAMPLE_DT");
   if (raw == nullptr || *raw == '\0') return 0.0;
-  double ms = 0.0;
-  const char* end = raw + std::strlen(raw);
-  const auto [ptr, ec] = std::from_chars(raw, end, ms);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(ms) || ms <= 0.0) {
+  const auto ms = parseReal(raw);
+  if (!ms || *ms <= 0.0) {
     warnOnce("ROBUSTORE_SAMPLE_DT", raw, "positive milliseconds");
     return 0.0;
   }
-  return ms * kMilliseconds;
+  return *ms * kMilliseconds;
 }
 
 namespace {

@@ -3,10 +3,21 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/units.hpp"
 
 namespace robustore::core {
+
+/// Whole-string decimal parse shared by the ROBUSTORE_* knobs and every
+/// command-line flag: the entire text must be the number — "8", not "8x",
+/// " 8", "+8", "-1", "1.5" or "". Range rules (e.g. "positive") are the
+/// caller's.
+[[nodiscard]] std::optional<std::uint64_t> parseUnsigned(std::string_view text);
+
+/// Whole-string finite decimal real ("0.5", "3", "-2", "1e-3"); nullopt
+/// for anything else, including trailing junk, "inf" and "nan".
+[[nodiscard]] std::optional<double> parseReal(std::string_view text);
 
 /// Unified, strictly-parsed access to every `ROBUSTORE_*` environment
 /// knob. All run configuration flows through here: one parser, one

@@ -30,8 +30,9 @@ struct AccessMetrics {
   std::uint32_t failures_survived = 0;
   std::uint32_t reissued_requests = 0;
   SimTime time_lost_to_failures = 0.0;
-  /// Per-stage latency decomposition of the access (all zero unless the
-  /// trial ran with tracing enabled).
+  /// Per-stage latency decomposition of the access: all zero unless a
+  /// flight recorder rides on the cluster's tracer (core::Stack::observe
+  /// attaches one whenever tracing or flight recording is on).
   trace::StageBreakdown stages;
 
   /// Delivered bandwidth: original data size over access latency (MB/s).

@@ -133,5 +133,26 @@ TEST(RunEnv, SampleDtConvertsMillisecondsToSeconds) {
   unsetenv("ROBUSTORE_SAMPLE_DT");
 }
 
+TEST(ParseNumber, UnsignedTakesOnlyTheWholeDecimalValue) {
+  EXPECT_EQ(parseUnsigned("0"), 0u);
+  EXPECT_EQ(parseUnsigned("12"), 12u);
+  EXPECT_EQ(parseUnsigned("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "12x", "x", " 12", "12 ", "+12", "-1", "1.5",
+                          "1e3", "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parseUnsigned(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseNumber, RealTakesOnlyTheWholeFiniteValue) {
+  EXPECT_EQ(parseReal("3"), 3.0);
+  EXPECT_EQ(parseReal("0.25"), 0.25);
+  EXPECT_EQ(parseReal("-2"), -2.0);
+  EXPECT_EQ(parseReal("1e-3"), 1e-3);
+  for (const char* bad :
+       {"", "3x", " 3", "3 ", "+3", "inf", "nan", "1e999", "0.5.1"}) {
+    EXPECT_FALSE(parseReal(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace robustore::core

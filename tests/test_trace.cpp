@@ -14,6 +14,7 @@
 #include "core/experiment.hpp"
 #include "sim/engine.hpp"
 #include "trace/chrome_trace.hpp"
+#include "trace/flight_recorder.hpp"
 #include "trace/trace.hpp"
 
 namespace robustore {
@@ -263,6 +264,10 @@ TEST_F(TraceIntegrationFixture, TracedAccessHasCompleteSpanTree) {
   sim::Engine engine;
   client::Cluster cluster(engine, cluster_config, Rng(1));
   trace::Tracer tracer;
+  // Per-access stage sums reach AccessMetrics through the recorder
+  // riding on the tracer, as core::Stack wires it.
+  trace::FlightRecorder recorder;
+  tracer.setSink(&recorder);
   cluster.attachTracer(&tracer);
   client::RobuStoreScheme scheme(cluster);
   Rng trial(2);
@@ -302,6 +307,8 @@ TEST_F(TraceIntegrationFixture, TracingDoesNotPerturbMetrics) {
     sim::Engine engine;
     client::Cluster cluster(engine, cluster_config, Rng(5));
     trace::Tracer tracer;
+    trace::FlightRecorder recorder;
+    tracer.setSink(&recorder);
     if (traced) cluster.attachTracer(&tracer);
     client::RobuStoreScheme scheme(cluster);
     Rng trial(6);

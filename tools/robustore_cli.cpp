@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/tail_attribution.hpp"
@@ -134,6 +136,25 @@ void timelineUsage(std::FILE* to, const char* argv0) {
       argv0, argv0);
 }
 
+/// Numeric flag values parse strictly (core::parseUnsigned / parseReal,
+/// the parsers behind the ROBUSTORE_* knobs): the whole argument must be
+/// the number and lie in range, else the caller prints usage and exits 2.
+std::optional<std::uint64_t> countFlag(
+    const char* value, std::uint64_t lo,
+    std::uint64_t hi = std::numeric_limits<std::uint32_t>::max()) {
+  if (value == nullptr) return std::nullopt;
+  const auto n = core::parseUnsigned(value);
+  if (!n || *n < lo || *n > hi) return std::nullopt;
+  return n;
+}
+
+std::optional<double> realFlag(const char* value, double lo) {
+  if (value == nullptr) return std::nullopt;
+  const auto d = core::parseReal(value);
+  if (!d || *d < lo) return std::nullopt;
+  return d;
+}
+
 struct Options {
   core::ExperimentConfig config;
   core::RunOptions run;
@@ -155,13 +176,8 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto need = [&](double lo = -1e300) -> std::optional<double> {
-      const char* v = next(i);
-      if (v == nullptr) return std::nullopt;
-      const double d = std::atof(v);
-      if (d < lo) return std::nullopt;
-      return d;
-    };
+    const auto count = [&](std::uint64_t lo) { return countFlag(next(i), lo); };
+    const auto real = [&](double lo) { return realFlag(next(i), lo); };
     if (arg == "--scheme") {
       const char* v = next(i);
       if (v == nullptr) return std::nullopt;
@@ -182,31 +198,31 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
         opt.config.op = core::ExperimentConfig::Op::kReadAfterWrite;
       else return std::nullopt;
     } else if (arg == "--data-mb") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
-      data_mb = static_cast<Bytes>(*v);
+      data_mb = *v;
     } else if (arg == "--block-kb") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
-      opt.config.access.block_bytes = static_cast<Bytes>(*v) * kKiB;
+      opt.config.access.block_bytes = *v * kKiB;
     } else if (arg == "--redundancy") {
-      const auto v = need(0);
+      const auto v = real(0);
       if (!v) return std::nullopt;
       opt.config.access.redundancy = *v;
     } else if (arg == "--disks") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
       opt.config.disks_per_access = static_cast<std::uint32_t>(*v);
     } else if (arg == "--servers") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
       opt.config.num_servers = static_cast<std::uint32_t>(*v);
     } else if (arg == "--disks-per-server") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
       opt.config.disks_per_server = static_cast<std::uint32_t>(*v);
     } else if (arg == "--rtt-ms") {
-      const auto v = need(0);
+      const auto v = real(0);
       if (!v) return std::nullopt;
       opt.config.round_trip = *v * kMilliseconds;
     } else if (arg == "--layout") {
@@ -217,12 +233,12 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
       else if (s == "homo") opt.config.layout.heterogeneous = false;
       else return std::nullopt;
     } else if (arg == "--bf") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
       opt.config.layout.homogeneous.blocking_factor =
           static_cast<std::uint32_t>(*v);
     } else if (arg == "--pseq") {
-      const auto v = need(0);
+      const auto v = real(0);
       if (!v || *v > 1.0) return std::nullopt;
       opt.config.layout.homogeneous.p_seq = *v;
     } else if (arg == "--background") {
@@ -237,7 +253,7 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
         opt.config.background = Background::kHeterogeneousStatic;
       else return std::nullopt;
     } else if (arg == "--bg-interval-ms") {
-      const auto v = need(0.001);
+      const auto v = real(0.001);
       if (!v) return std::nullopt;
       opt.config.bg_interval = *v * kMilliseconds;
     } else if (arg == "--cache") {
@@ -247,7 +263,7 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
     } else if (arg == "--metadata-selection") {
       opt.config.metadata_disk_selection = true;
     } else if (arg == "--client-bw-mbps") {
-      const auto v = need(0.001);
+      const auto v = real(0.001);
       if (!v) return std::nullopt;
       opt.config.client_bandwidth = mbps(*v);
     } else if (arg == "--codec") {
@@ -258,17 +274,18 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
       else if (s == "raptor") opt.config.codec = client::CodecKind::kRaptor;
       else return std::nullopt;
     } else if (arg == "--trials") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
       opt.config.trials = static_cast<std::uint32_t>(*v);
     } else if (arg == "--threads") {
-      const auto v = need(1);
+      const auto v = count(1);
       if (!v) return std::nullopt;
       opt.run.threads = static_cast<unsigned>(*v);
     } else if (arg == "--seed") {
-      const auto v = need(0);
+      const auto v =
+          countFlag(next(i), 0, std::numeric_limits<std::uint64_t>::max());
       if (!v) return std::nullopt;
-      opt.config.seed = static_cast<std::uint64_t>(*v);
+      opt.config.seed = *v;
     } else if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -300,7 +317,12 @@ int traceMain(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trial" && i + 1 < argc) {
-      trial = static_cast<std::uint32_t>(std::atof(argv[++i]));
+      const auto v = countFlag(argv[++i], 0);
+      if (!v) {
+        traceUsage(stderr, argv[0]);
+        return 2;
+      }
+      trial = static_cast<std::uint32_t>(*v);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -401,9 +423,19 @@ int timelineMain(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trial" && i + 1 < argc) {
-      trial = static_cast<std::uint32_t>(std::atof(argv[++i]));
+      const auto v = countFlag(argv[++i], 0);
+      if (!v) {
+        timelineUsage(stderr, argv[0]);
+        return 2;
+      }
+      trial = static_cast<std::uint32_t>(*v);
     } else if (arg == "--dt-ms" && i + 1 < argc) {
-      dt_ms = std::atof(argv[++i]);
+      const auto v = realFlag(argv[++i], 0.0);
+      if (!v) {
+        timelineUsage(stderr, argv[0]);
+        return 2;
+      }
+      dt_ms = *v;
     } else if (arg == "--format" && i + 1 < argc) {
       format = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -515,9 +547,19 @@ int tailMain(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trial" && i + 1 < argc) {
-      only_trial = static_cast<std::int64_t>(std::atof(argv[++i]));
+      const auto v = countFlag(argv[++i], 0);
+      if (!v) {
+        tailUsage(stderr, argv[0]);
+        return 2;
+      }
+      only_trial = static_cast<std::int64_t>(*v);
     } else if (arg == "--slowest" && i + 1 < argc) {
-      slowest = static_cast<std::uint32_t>(std::atof(argv[++i]));
+      const auto v = countFlag(argv[++i], 1);
+      if (!v) {
+        tailUsage(stderr, argv[0]);
+        return 2;
+      }
+      slowest = static_cast<std::uint32_t>(*v);
     } else if (arg == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
     } else {
@@ -718,12 +760,18 @@ int chaosMain(int argc, char** argv) {
     };
     if (arg == "--seeds") {
       const char* v = value();
-      if (v == nullptr ||
-          std::sscanf(v, "%" SCNu64 "..%" SCNu64, &seed_lo, &seed_hi) != 2 ||
-          seed_hi < seed_lo) {
+      const std::string_view range = v != nullptr ? v : "";
+      const auto dots = range.find("..");
+      const auto lo = core::parseUnsigned(range.substr(0, dots));
+      const auto hi = dots == std::string_view::npos
+                          ? std::nullopt
+                          : core::parseUnsigned(range.substr(dots + 2));
+      if (!lo || !hi || *hi < *lo) {
         std::fprintf(stderr, "chaos: --seeds wants A..B with A <= B\n");
         return 2;
       }
+      seed_lo = *lo;
+      seed_hi = *hi;
     } else if (arg == "--shrink") {
       shrink = true;
     } else if (arg == "--replay") {
@@ -743,9 +791,12 @@ int chaosMain(int argc, char** argv) {
       if (v == nullptr) return 2;
       out_dir = v;
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return 2;
-      threads = static_cast<unsigned>(std::atof(v));
+      const auto v = countFlag(value(), 0);
+      if (!v) {
+        chaosUsage(stderr, argv[0]);
+        return 2;
+      }
+      threads = static_cast<unsigned>(*v);
     } else if (arg == "--inject-bug") {
       const char* v = value();
       if (v == nullptr || std::strcmp(v, "backoff") != 0) {
@@ -897,13 +948,9 @@ int main(int argc, char** argv) {
   }
 
   core::ExperimentRunner runner(options->config);
-  std::vector<client::SchemeKind> kinds;
-  if (options->scheme) {
-    kinds.push_back(*options->scheme);
-  } else {
-    kinds = {client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
-             client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore};
-  }
+  std::vector<client::SchemeKind> kinds(std::begin(client::kAllSchemes),
+                                        std::end(client::kAllSchemes));
+  if (options->scheme) kinds = {*options->scheme};
 
   if (options->csv) {
     std::printf("scheme,trials,bandwidth_mbps,latency_s,latency_stddev_s,"
