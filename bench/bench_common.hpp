@@ -108,21 +108,12 @@ inline core::ExperimentConfig baselineConfig() {
   core::ExperimentConfig cfg;
   cfg.trials = defaultTrials();
   cfg.seed = 20070613;  // arbitrary but fixed: results are reproducible
-  // ROBUSTORE_TRACE=1 turns on per-stage latency decomposition for every
-  // bench (stage_* fields in the JSON trajectory, stage tables in the
-  // human output). Tracing never touches a random stream, so the paper
-  // metrics are bit-identical either way.
-  if (core::RunEnv::trace()) cfg.trace = true;
-  // ROBUSTORE_SAMPLE_DT=<ms> turns on per-trial telemetry sampling. The
-  // sampler rides the engine's time observer (zero events, zero rng
-  // draws), so every figure is bit-identical with sampling on or off.
-  cfg.sample_dt = core::RunEnv::sampleDt();
-  // ROBUSTORE_FLIGHT=1 attaches the always-on flight recorder to every
-  // trial. It schedules no events and draws no rng, so simulated results
-  // stay bitwise identical — but collect() then has per-access stage
-  // sums available, so stage_* quantile columns appear in the reports
-  // (that is the point: tail attribution only when asked for).
-  if (core::RunEnv::flight()) cfg.flight = true;
+  // ROBUSTORE_FLIGHT=1 attaches the flight recorder to every trial: the
+  // per-stage latency decomposition of reads and writes (stage_* fields
+  // in the JSON trajectory, stage tables in the human output). It
+  // schedules no events and draws no rng, so the paper metrics are
+  // bit-identical either way.
+  cfg.flight = core::RunEnv::flight();
   return cfg;
 }
 

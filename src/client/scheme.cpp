@@ -100,8 +100,7 @@ void Scheme::beginRead(Session& session, StoredFile& file,
   session.start = engine().now();
   if (auto* fr = flightRecorder(); fr != nullptr) {
     // Heal/repair streams never open a ring, so their spans are ignored
-    // by the recorder's stream filter (writes open one only when traced,
-    // see write()).
+    // by the recorder's stream filter.
     fr->beginAccess(session.stream, session.start);
   }
   engine().schedule(config.metadata_latency,
@@ -410,9 +409,7 @@ metrics::AccessMetrics Scheme::write(const AccessConfig& config,
   session.stream = cluster_->nextStream();
   cluster_->startBackground();
   session.start = engine().now();
-  if (auto* fr = flightRecorder(); fr != nullptr && tracer()->enabled()) {
-    // Traced runs report write stage sums too, and the recorder is where
-    // collect() reads them; the always-on recorder mode stays reads-only.
+  if (auto* fr = flightRecorder(); fr != nullptr) {
     fr->beginAccess(session.stream, session.start);
   }
 

@@ -143,11 +143,14 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
     trace::FlightRecorder* flight_out) {
   ROBUSTORE_EXPECTS(!trialsAreCoupled(config),
                     "coupled experiments cannot run as independent trials");
+  ROBUSTORE_EXPECTS(flight_out == nullptr || config.flight,
+                    "flight_out needs config.flight");
+  ROBUSTORE_EXPECTS(telemetry_out == nullptr || telemetry_out->sample_dt > 0.0,
+                    "telemetry_out needs a positive sample_dt");
   // One trial = one worker thread: the guard scopes the host profile of
   // everything below to this trial and merges it into the global snapshot
   // on exit (no-op unless ROBUSTORE_HOST_PROFILE is set).
   const telemetry::HostProfiler::TrialGuard host_profile;
-  telemetry::Timeline discard_timeline;
   Stack stack(clusterConfig(config), Rng(config.seed ^ salt::kCluster));
   client::Cluster& cluster = stack.cluster();
   applyExperimentBackground(config, cluster);
@@ -155,24 +158,16 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
   // Trial-local observers keep records out of shared state; the caller
   // merges per-trial tracers and recorders in trial order, which is what
   // makes observed parallel runs byte-identical to serial ones.
-  stack.observe(config.trace || trace_out != nullptr,
-                config.flight || flight_out != nullptr, config.flight_config);
+  stack.observe(trace_out != nullptr, config.flight, config.flight_config);
 
   Rng trial_rng = streamRng(config.seed, trial_index);
   const auto disks = selectTrialDisks(config, cluster, trial_rng);
   armFaults(config, trial_index, stack, disks);
 
-  // Sampling draws no events or rng. Without telemetry_out the series
-  // land in a trial-local timeline (traced runs still get counter tracks).
-  SimTime sample_dt = config.sample_dt;
-  if (telemetry_out != nullptr && sample_dt <= 0.0) {
-    sample_dt = 10.0 * kMilliseconds;
-  }
+  // Sampling draws no events or rng.
   telemetry::PeriodicSampler* sampler = nullptr;
-  if (sample_dt > 0.0) {
-    sampler = &stack.sample(sample_dt, telemetry_out != nullptr
-                                           ? telemetry_out->timeline
-                                           : discard_timeline);
+  if (telemetry_out != nullptr) {
+    sampler = &stack.sample(telemetry_out->sample_dt, telemetry_out->timeline);
     attachStandardProbes(*sampler, cluster, *scheme, disks, stack.injector());
     sampler->sampleNow(stack.engine().now());  // t=0 baseline
   }
@@ -181,11 +176,8 @@ metrics::AccessMetrics ExperimentRunner::runTrial(
       runAccess(config, *scheme, disks, trial_rng, nullptr).metrics;
   if (sampler != nullptr) {
     sampler->sampleNow(stack.engine().now());  // final drained state
-    if (telemetry_out != nullptr) {
-      telemetry_out->sample_dt = sample_dt;
-      telemetry::snapshotToRegistry(telemetry_out->timeline,
-                                    telemetry_out->registry);
-    }
+    telemetry::snapshotToRegistry(telemetry_out->timeline,
+                                  telemetry_out->registry);
   }
   if (trace_out != nullptr) trace_out->append(*stack.tracer());
   if (flight_out != nullptr) flight_out->absorb(*stack.recorder());
@@ -258,9 +250,9 @@ std::vector<ExperimentRunner::SchemeResult> ExperimentRunner::runGrid(
     for (std::size_t s = 0; s < kinds.size(); ++s) {
       Stack stack(clusterConfig(config_), Rng(config_.seed ^ salt::kCluster));
       applyExperimentBackground(config_, stack.cluster());
-      // One tracer for the whole run: per-access stage sums still separate
-      // cleanly because every access has its own stream id.
-      stack.observe(config_.trace, false);
+      // One recorder for the whole run: per-access stage sums still
+      // separate cleanly because every access has its own stream id.
+      stack.observe(/*trace=*/false, config_.flight, config_.flight_config);
       std::ranges::move(runCoupled(config_, kinds[s], stack.cluster()),
                         grid.begin() + static_cast<std::ptrdiff_t>(s * trials));
     }

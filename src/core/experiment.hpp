@@ -90,14 +90,9 @@ struct ExperimentConfig {
   // --- observability -----------------------------------------------------
   // Observers attach through core::Stack: no engine events, no rng draws,
   // so simulated results are bit-identical with any of them on or off.
-  /// Full trace of every trial; per-access stage sums land in
-  /// AccessMetrics::stages and the reports (ROBUSTORE_TRACE).
-  bool trace = false;
-  /// Telemetry sampling interval in simulated seconds; 0 = off
-  /// (ROBUSTORE_SAMPLE_DT, in milliseconds).
-  SimTime sample_dt = 0.0;
-  /// Always-on flight recorder per trial; recorders surface through
-  /// RunOptions::on_flight in trial order (ROBUSTORE_FLIGHT).
+  /// Flight recorder per trial (ROBUSTORE_FLIGHT): per-access stage sums
+  /// of reads and writes land in AccessMetrics::stages and the reports;
+  /// recorders surface through RunOptions::on_flight in trial order.
   bool flight = false;
   trace::FlightRecorderConfig flight_config;
 
@@ -124,8 +119,8 @@ struct RunOptions {
   /// Flight-recorder reduction hook (requires config.flight): invoked on
   /// the calling thread, in strictly increasing trial order per scheme,
   /// with the trial's recorder — absorb() it into a per-scheme recorder
-  /// for deterministic slowest-K aggregation. Coupled experiments do not
-  /// support flight recording and never invoke this.
+  /// for deterministic slowest-K aggregation. Coupled experiments share
+  /// one recorder across trials and never invoke this.
   std::function<void(client::SchemeKind, std::uint32_t,
                      trace::FlightRecorder&)>
       on_flight;
@@ -167,20 +162,17 @@ class ExperimentRunner {
   /// semantics, which is why parallel runs reproduce serial runs exactly.
   /// Requires !trialsAreCoupled(config).
   ///
-  /// `trace_out` (optional) receives the trial's full trace: a tracer is
-  /// attached for the trial (even when config.trace is off) and its
-  /// records appended to `trace_out` when the trial ends. Callers merging
-  /// several trials into one tracer must append in trial order to keep
-  /// the byte-identical-across-thread-counts guarantee.
+  /// `trace_out` (optional) receives the trial's full trace: a recording
+  /// tracer is attached for the trial and its records appended to
+  /// `trace_out` when the trial ends. Callers merging several trials into
+  /// one tracer must append in trial order to keep the
+  /// byte-identical-across-thread-counts guarantee.
   ///
-  /// `telemetry_out` (optional) receives the trial's sampled time series
-  /// and the registry snapshot derived from them; it implies sampling
-  /// even when config.sample_dt is 0 (a 10 ms default applies then).
-  /// With config.sample_dt set and `telemetry_out` null the series are
-  /// sampled into trial-local storage and dropped — exercised only so
-  /// traced runs still get their counter tracks.
-  /// `flight_out` (optional) receives the trial's flight-recorder state
-  /// via absorb(); it implies a recorder even when config.flight is off.
+  /// `telemetry_out` (optional) receives the time series sampled every
+  /// `telemetry_out->sample_dt` and the registry snapshot derived from
+  /// them; with `trace_out` the samples also become counter tracks.
+  /// `flight_out` (optional, requires config.flight) receives the trial's
+  /// flight-recorder state via absorb().
   [[nodiscard]] static metrics::AccessMetrics runTrial(
       const ExperimentConfig& config, client::SchemeKind kind,
       std::uint32_t trial_index, trace::Tracer* trace_out = nullptr,
@@ -198,8 +190,8 @@ class ExperimentRunner {
   /// against `cluster`: one long-lived cluster whose state (filer caches,
   /// the metadata server's load records) carries from trial to trial.
   /// run() and runAll() build it, like runTrial's, on a core::Stack that
-  /// also attaches the tracer when config.trace is set; a caller passing
-  /// its own cluster owns its observers. Returns the per-trial metrics.
+  /// also attaches the flight recorder when config.flight is set; a caller
+  /// passing its own cluster owns its observers. Returns the per-trial metrics.
   /// After each access the client reports the background load it saw on
   /// the access disks to the metadata server (§4.2), except after a
   /// read-after-write whose write failed. The caller owns the cluster, so

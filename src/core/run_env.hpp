@@ -5,8 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/units.hpp"
-
 namespace robustore::core {
 
 /// Whole-string decimal parse shared by the ROBUSTORE_* knobs and every
@@ -32,12 +30,10 @@ namespace robustore::core {
 /// | ROBUSTORE_TRIALS       | count (u32)     | trials per experiment           |
 /// | ROBUSTORE_THREADS      | count ≤ 1024    | trial-pool worker threads       |
 /// | ROBUSTORE_SEED         | count (u64)     | base RNG seed override          |
-/// | ROBUSTORE_SAMPLE_DT    | positive ms     | telemetry sampling period       |
-/// |                        |                 | (unset/invalid = sampling off)  |
-/// | ROBUSTORE_HOST_PROFILE | bool-ish        | host-side profiling             |
-/// | ROBUSTORE_TRACE        | bool-ish        | per-stage latency tracing       |
-/// | ROBUSTORE_FLIGHT       | bool-ish        | always-on access flight         |
-/// |                        |                 | recorder (tail forensics)       |
+/// | ROBUSTORE_HOST_PROFILE | bool-ish        | host_profile block in BENCH_*   |
+/// | ROBUSTORE_FLIGHT       | bool-ish        | access flight recorder: stage   |
+/// |                        |                 | sums of reads and writes, tail  |
+/// |                        |                 | forensics                       |
 /// | ROBUSTORE_CSV          | presence        | CSV block in bench output       |
 /// | ROBUSTORE_JSON         | "1" or dir path | write BENCH_*.json ("1" = cwd)  |
 /// | ROBUSTORE_SIMD         | level name      | coding-kernel dispatch override |
@@ -52,7 +48,9 @@ namespace robustore::core {
 /// even to the empty string (legacy behavior, kept for script compat).
 ///
 /// Every accessor reads the environment on each call (no caching), so
-/// tests and embedders may setenv/unsetenv between calls.
+/// tests and embedders may setenv/unsetenv between calls. Retired knobs
+/// are ignored; while one is set, the first knob read warns once, naming
+/// its replacement.
 class RunEnv {
  public:
   /// Strict positive decimal count from an arbitrary environment
@@ -70,15 +68,8 @@ class RunEnv {
   /// ROBUSTORE_SEED, or `fallback` when unset/invalid.
   [[nodiscard]] static std::uint64_t seed(std::uint64_t fallback);
 
-  /// ROBUSTORE_SAMPLE_DT in *milliseconds*, returned in seconds; 0.0
-  /// (sampling disabled) when unset, invalid, non-finite, or <= 0.
-  [[nodiscard]] static SimTime sampleDt();
-
   /// ROBUSTORE_HOST_PROFILE as bool-ish.
   [[nodiscard]] static bool hostProfile();
-
-  /// ROBUSTORE_TRACE as bool-ish.
-  [[nodiscard]] static bool trace();
 
   /// ROBUSTORE_FLIGHT as bool-ish.
   [[nodiscard]] static bool flight();

@@ -18,8 +18,6 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-thread_local HostProfiler* HostProfiler::current_ = nullptr;
-
 const char* hostScopeName(HostScope scope) {
   switch (scope) {
     case HostScope::kEngineDispatch:

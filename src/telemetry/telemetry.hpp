@@ -7,16 +7,17 @@
 
 namespace robustore::telemetry {
 
-/// Everything one trial's sampling produced: the raw time series plus the
-/// registry snapshot (final gauges, per-series histograms) derived from
-/// them. Handed to ExperimentRunner::runTrial by callers that want the
-/// telemetry back (the CLI's `timeline` subcommand); bench sweeps leave
-/// it unset and the per-trial series are dropped on the trial's floor.
+/// One trial's sampling: the interval to sample at, and what sampling
+/// produced — the raw time series plus the registry snapshot (final
+/// gauges, per-series histograms) derived from them. Handed to
+/// ExperimentRunner::runTrial by the callers that sample (the CLI's
+/// `timeline` and `trace` subcommands); without one a trial samples
+/// nothing.
 struct TrialTelemetry {
+  /// Sampling interval in simulated seconds (> 0).
+  SimTime sample_dt = 10.0 * kMilliseconds;
   MetricRegistry registry;
   Timeline timeline;
-  /// The interval the series were sampled at (seconds; 0 = sampler off).
-  SimTime sample_dt = 0.0;
 };
 
 }  // namespace robustore::telemetry

@@ -8,9 +8,6 @@ namespace robustore::trace {
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
     : config_(config) {
   if (config_.ring_events == 0) config_.ring_events = 1;
-  if (config_.max_retained < config_.keep_slowest) {
-    config_.max_retained = config_.keep_slowest;
-  }
   retained_.reserve(config_.keep_slowest);
 }
 
@@ -263,11 +260,6 @@ void FlightRecorder::expand(const FlightRecord& rec, Tracer& out) const {
 void FlightRecorder::offer(std::unique_ptr<FlightRecord> rec) {
   const double lat = rec->latency();
   if (retained_.size() < config_.keep_slowest) {
-    retained_.push_back(std::move(rec));
-    return;
-  }
-  const bool via_slo = config_.slo > 0.0 && lat >= config_.slo;
-  if (via_slo && retained_.size() < config_.max_retained) {
     retained_.push_back(std::move(rec));
     return;
   }

@@ -18,14 +18,10 @@ struct FlightRecorderConfig {
   /// ring keeps the newest `ring_events` (exact stage totals are
   /// maintained outside the ring, so breakdowns never lose time).
   std::uint32_t ring_events = 64;
-  /// Retain the slowest-K completed accesses per recorder.
-  std::uint32_t keep_slowest = 16;
-  /// When > 0, additionally retain every access with latency >= slo.
-  double slo = 0.0;
-  /// Hard cap on retained records (bounds SLO-mode memory). When full,
-  /// a new record replaces the fastest retained one only if strictly
+  /// Retain the slowest-K completed accesses per recorder. When full, a
+  /// new record replaces the fastest retained one only if strictly
   /// slower — first-seen wins ties, so retention is deterministic.
-  std::uint32_t max_retained = 1024;
+  std::uint32_t keep_slowest = 16;
 };
 
 /// One compact event in an access's ring: 16 bytes, plain data. Times

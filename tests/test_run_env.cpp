@@ -1,6 +1,7 @@
 #include "core/run_env.hpp"
 
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -88,18 +89,40 @@ TEST(RunEnv, ThreadsRejectsRunawayValues) {
 }
 
 TEST(RunEnv, BoolishKnobsTreatZeroAsOff) {
-  for (const char* name : {"ROBUSTORE_HOST_PROFILE", "ROBUSTORE_TRACE"}) {
+  for (const char* name : {"ROBUSTORE_HOST_PROFILE", "ROBUSTORE_FLIGHT"}) {
     unsetenv(name);
   }
   EXPECT_FALSE(RunEnv::hostProfile());
-  EXPECT_FALSE(RunEnv::trace());
+  EXPECT_FALSE(RunEnv::flight());
+  setenv("ROBUSTORE_FLIGHT", "1", 1);
+  EXPECT_TRUE(RunEnv::flight());
+  setenv("ROBUSTORE_FLIGHT", "0", 1);
+  EXPECT_FALSE(RunEnv::flight());
+  setenv("ROBUSTORE_FLIGHT", "", 1);
+  EXPECT_FALSE(RunEnv::flight());
+  unsetenv("ROBUSTORE_FLIGHT");
+}
+
+TEST(RunEnv, RetiredKnobsWarnOnceNamingTheirReplacement) {
+  unsetenv("ROBUSTORE_FLIGHT");
   setenv("ROBUSTORE_TRACE", "1", 1);
-  EXPECT_TRUE(RunEnv::trace());
-  setenv("ROBUSTORE_TRACE", "0", 1);
-  EXPECT_FALSE(RunEnv::trace());
-  setenv("ROBUSTORE_TRACE", "", 1);
-  EXPECT_FALSE(RunEnv::trace());
+  setenv("ROBUSTORE_SAMPLE_DT", "5", 1);
+  testing::internal::CaptureStderr();
+  // Ignored: the retired knobs switch nothing on.
+  EXPECT_FALSE(RunEnv::flight());
+  EXPECT_FALSE(RunEnv::flight());
+  const std::string err = testing::internal::GetCapturedStderr();
   unsetenv("ROBUSTORE_TRACE");
+  unsetenv("ROBUSTORE_SAMPLE_DT");
+
+  const std::string trace_line =
+      "robustore: ROBUSTORE_TRACE is retired and ignored; set "
+      "ROBUSTORE_FLIGHT=1 for per-stage sums\n";
+  const std::string dt_line =
+      "robustore: ROBUSTORE_SAMPLE_DT is retired and ignored; use "
+      "robustore_cli timeline/trace --dt-ms\n";
+  // One line per retired knob, however often knobs are read.
+  EXPECT_EQ(err, trace_line + dt_line);
 }
 
 TEST(RunEnv, CsvIsPresenceOnly) {
@@ -119,18 +142,6 @@ TEST(RunEnv, JsonDirMapsOneToCwd) {
   setenv("ROBUSTORE_JSON", "/tmp/out", 1);
   EXPECT_EQ(RunEnv::jsonDir(), std::string("/tmp/out"));
   unsetenv("ROBUSTORE_JSON");
-}
-
-TEST(RunEnv, SampleDtConvertsMillisecondsToSeconds) {
-  unsetenv("ROBUSTORE_SAMPLE_DT");
-  EXPECT_DOUBLE_EQ(RunEnv::sampleDt(), 0.0);
-  setenv("ROBUSTORE_SAMPLE_DT", "2.5", 1);
-  EXPECT_DOUBLE_EQ(RunEnv::sampleDt(), 0.0025);
-  for (const char* bad : {"garbage", "-3", "0", "inf", "nan", "2.5ms"}) {
-    setenv("ROBUSTORE_SAMPLE_DT", bad, 1);
-    EXPECT_DOUBLE_EQ(RunEnv::sampleDt(), 0.0) << "'" << bad << "'";
-  }
-  unsetenv("ROBUSTORE_SAMPLE_DT");
 }
 
 TEST(ParseNumber, UnsignedTakesOnlyTheWholeDecimalValue) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/run_env.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
@@ -226,20 +225,6 @@ TEST(PeriodicSampler, EmitsCounterRecordsWhenTraced) {
   EXPECT_EQ(r.track, trace::kTelemetryTrack);
 }
 
-// ROBUSTORE_SAMPLE_DT gives the telemetry sampling period in milliseconds;
-// RunEnv returns it in seconds, the unit of ExperimentConfig::sample_dt.
-TEST(SampleDtFromEnv, ParsesMillisecondsStrictly) {
-  unsetenv("ROBUSTORE_SAMPLE_DT");
-  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0);
-  setenv("ROBUSTORE_SAMPLE_DT", "2.5", 1);
-  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0025);
-  setenv("ROBUSTORE_SAMPLE_DT", "garbage", 1);
-  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0);
-  setenv("ROBUSTORE_SAMPLE_DT", "-3", 1);
-  EXPECT_DOUBLE_EQ(core::RunEnv::sampleDt(), 0.0);
-  unsetenv("ROBUSTORE_SAMPLE_DT");
-}
-
 core::ExperimentConfig miniConfig() {
   core::ExperimentConfig cfg;
   cfg.num_servers = 4;
@@ -303,11 +288,10 @@ TEST(TrialTelemetry, SamplingNeverChangesSimulatedResults) {
   const metrics::AccessMetrics plain = core::ExperimentRunner::runTrial(
       cfg, client::SchemeKind::kRobuStore, 0);
 
-  core::ExperimentConfig sampled = cfg;
-  sampled.sample_dt = 0.001;
   telemetry::TrialTelemetry telemetry;
+  telemetry.sample_dt = 0.001;
   const metrics::AccessMetrics with = core::ExperimentRunner::runTrial(
-      sampled, client::SchemeKind::kRobuStore, 0, nullptr, &telemetry);
+      cfg, client::SchemeKind::kRobuStore, 0, nullptr, &telemetry);
 
   EXPECT_EQ(std::memcmp(&plain.latency, &with.latency, sizeof plain.latency),
             0);

@@ -1,15 +1,18 @@
 // The telemetry determinism guard: every figure a bench emits is byte
-// identical whether sampling is on or off and whatever the thread count.
-// This is the contract that makes ROBUSTORE_SAMPLE_DT safe to set on any
-// run — the sampler rides the engine's time observer (zero events, zero
-// rng draws), so it cannot perturb a single simulated timestamp.
+// identical whether its trials are sampled or not and whatever the thread
+// count. This is the contract that makes `robustore_cli timeline` show the
+// very trial a figure ran — the sampler rides the engine's time observer
+// (zero events, zero rng draws), so it cannot perturb a single simulated
+// timestamp.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "bench/reporter.hpp"
 #include "core/experiment.hpp"
+#include "core/trial_pool.hpp"
 #include "telemetry/host_profiler.hpp"
 
 namespace robustore {
@@ -31,19 +34,36 @@ core::ExperimentConfig sweepConfig() {
   return cfg;
 }
 
-/// Reporter JSON for one full mini-sweep at the given sampling interval
-/// and thread count — the exact bytes a bench binary would write.
+/// Reporter JSON for one full mini-sweep at the given thread count — the
+/// exact bytes a bench binary would write. `sample_dt` 0 runs the sweep
+/// through the runner; otherwise every trial is sampled on that grid
+/// through runTrial's telemetry_out, fanned out on a pool of `threads`.
 std::string reportJson(SimTime sample_dt, unsigned threads) {
-  core::ExperimentConfig cfg = sweepConfig();
-  cfg.sample_dt = sample_dt;
+  const core::ExperimentConfig cfg = sweepConfig();
   core::ExperimentRunner runner(cfg);
   core::RunOptions options;
   options.threads = threads;
   bench::Reporter reporter("determinism_guard", "case");
   for (const auto kind :
        {client::SchemeKind::kRaid0, client::SchemeKind::kRobuStore}) {
-    reporter.add("mini", client::schemeName(kind),
-                 runner.run(kind, options));
+    if (sample_dt <= 0.0) {
+      reporter.add("mini", client::schemeName(kind), runner.run(kind, options));
+      continue;
+    }
+    std::vector<metrics::AccessMetrics> trials(cfg.trials);
+    std::vector<telemetry::TrialTelemetry> series(cfg.trials);
+    core::TrialPool pool(threads);
+    pool.forEachIndex(cfg.trials, [&](std::uint32_t t) {
+      series[t].sample_dt = sample_dt;
+      trials[t] = core::ExperimentRunner::runTrial(cfg, kind, t, nullptr,
+                                                   &series[t]);
+    });
+    metrics::AccessAggregate agg;
+    for (std::uint32_t t = 0; t < cfg.trials; ++t) {
+      EXPECT_GT(series[t].timeline.totalPoints(), 0u) << "trial " << t;
+      agg.add(trials[t]);
+    }
+    reporter.add("mini", client::schemeName(kind), agg);
   }
   return reporter.json();
 }
@@ -60,10 +80,10 @@ TEST(TelemetryDeterminism, FigureBytesIdenticalAcrossSamplingAndThreads) {
 TEST(TelemetryDeterminism, SampledTimelinesIdenticalAcrossTrialsOrder) {
   // The per-trial timeline itself is pure in (config, kind, trial): two
   // independent runs produce identical series point-for-point.
-  core::ExperimentConfig cfg = sweepConfig();
-  cfg.sample_dt = 0.005;
+  const core::ExperimentConfig cfg = sweepConfig();
   telemetry::TrialTelemetry a;
   telemetry::TrialTelemetry b;
+  a.sample_dt = b.sample_dt = 0.005;
   (void)core::ExperimentRunner::runTrial(cfg, client::SchemeKind::kRobuStore,
                                          1, nullptr, &a);
   (void)core::ExperimentRunner::runTrial(cfg, client::SchemeKind::kRobuStore,

@@ -328,7 +328,7 @@ TEST_F(TraceIntegrationFixture, TracingDoesNotPerturbMetrics) {
 
 TEST_F(TraceIntegrationFixture, StageMeansIdenticalAcrossThreadCounts) {
   core::ExperimentConfig cfg = experimentConfig();
-  cfg.trace = true;
+  cfg.flight = true;
   core::ExperimentRunner runner(cfg);
   core::RunOptions serial;
   serial.threads = 1;

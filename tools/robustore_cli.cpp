@@ -61,7 +61,7 @@ void usage(const char* argv0) {
       "                       ROBUSTORE_SEED, else 42)\n"
       "  --csv                machine-readable output\n"
       "\n"
-      "subcommand: %s trace [options] [--trial N] [--out PATH]\n"
+      "subcommand: %s trace [options] [--trial N] [--dt-ms X] [--out PATH]\n"
       "  Runs ONE trial with structured tracing and writes the trace in\n"
       "  Chrome trace_event JSON (load in Perfetto / chrome://tracing).\n"
       "  Takes the options above except --trials/--threads/--csv and the\n"
@@ -69,7 +69,7 @@ void usage(const char* argv0) {
       "  per-stage breakdown summary goes to stderr; the JSON goes to\n"
       "  --out PATH, or stdout when --out is omitted. Telemetry counter\n"
       "  tracks (queue depths, decoder progress, ...) ride along on the\n"
-      "  ROBUSTORE_SAMPLE_DT grid (default 10 ms).\n"
+      "  --dt-ms grid (default 10 ms).\n"
       "\n"
       "subcommand: %s timeline [options] [--trial N] [--dt-ms X]\n"
       "                        [--format csv|json] [--out PATH]\n"
@@ -78,7 +78,7 @@ void usage(const char* argv0) {
       "  time series (per-disk queue depth and utilization, link bytes in\n"
       "  flight, decoder progress, fault state, ...) as CSV (default) or\n"
       "  JSON to --out PATH / stdout. --dt-ms sets the sampling grid\n"
-      "  (default: ROBUSTORE_SAMPLE_DT, else 10 ms). --prom PATH\n"
+      "  (default 10 ms). --prom PATH\n"
       "  additionally writes the final metric snapshot in Prometheus text\n"
       "  format. Sampling reads state only: the simulated results are\n"
       "  bitwise identical with it on or off.\n"
@@ -103,10 +103,11 @@ void usage(const char* argv0) {
 void traceUsage(std::FILE* to, const char* argv0) {
   std::fprintf(
       to,
-      "usage: %s trace [options] [--trial N] [--out PATH]\n"
+      "usage: %s trace [options] [--trial N] [--dt-ms X] [--out PATH]\n"
       "  Runs ONE trial with structured tracing and writes the trace in\n"
       "  Chrome trace_event JSON (load in Perfetto / chrome://tracing).\n"
       "  --trial N   which trial to trace                (default 0)\n"
+      "  --dt-ms X   telemetry counter-track grid, > 0   (default 10)\n"
       "  --out PATH  trace destination                   (default stdout)\n"
       "  Takes the shared experiment options (see `%s --help`) except\n"
       "  --threads/--csv and the trial-coupling flags; --trials bounds\n"
@@ -125,8 +126,7 @@ void timelineUsage(std::FILE* to, const char* argv0) {
       "  time series (queue depths, link bytes in flight, decoder\n"
       "  progress, ...).\n"
       "  --trial N       which trial to sample           (default 0)\n"
-      "  --dt-ms X       sampling grid                   (default:\n"
-      "                  ROBUSTORE_SAMPLE_DT, else 10 ms)\n"
+      "  --dt-ms X       sampling grid in ms, > 0        (default 10)\n"
       "  --format F      csv or json                     (default csv)\n"
       "  --out PATH      series destination              (default stdout)\n"
       "  --prom PATH     also write a Prometheus-text final snapshot\n"
@@ -153,6 +153,14 @@ std::optional<double> realFlag(const char* value, double lo) {
   const auto d = core::parseReal(value);
   if (!d || *d < lo) return std::nullopt;
   return d;
+}
+
+/// `--dt-ms` of `trace` and `timeline`: a positive sampling grid in
+/// milliseconds, returned in simulated seconds.
+std::optional<SimTime> dtFlag(const char* value) {
+  const auto ms = realFlag(value, 0.0);
+  if (!ms || *ms <= 0.0) return std::nullopt;
+  return *ms * kMilliseconds;
 }
 
 struct Options {
@@ -310,6 +318,7 @@ std::optional<Options> parse(int argc, char** argv, bool& help) {
 /// trace_event JSON. Returns the process exit code.
 int traceMain(int argc, char** argv) {
   std::uint32_t trial = 0;
+  telemetry::TrialTelemetry telemetry;
   std::string out_path;
   // Extract the subcommand-only flags, hand the rest to parse().
   std::vector<char*> rest;
@@ -323,6 +332,13 @@ int traceMain(int argc, char** argv) {
         return 2;
       }
       trial = static_cast<std::uint32_t>(*v);
+    } else if (arg == "--dt-ms" && i + 1 < argc) {
+      const auto dt = dtFlag(argv[++i]);
+      if (!dt) {
+        traceUsage(stderr, argv[0]);
+        return 2;
+      }
+      telemetry.sample_dt = *dt;
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -355,15 +371,11 @@ int traceMain(int argc, char** argv) {
     return 2;
   }
 
-  // Counter tracks ride along with the spans: enable sampling on the env
-  // grid (default 10 ms) so Perfetto shows the curves next to the events.
-  core::ExperimentConfig config = options->config;
-  config.sample_dt = core::RunEnv::sampleDt();
-  if (config.sample_dt <= 0.0) config.sample_dt = 10.0 * kMilliseconds;
-
+  // Counter tracks ride along with the spans: sampling on the --dt-ms
+  // grid lets Perfetto show the curves next to the events.
   trace::Tracer tracer;
-  const metrics::AccessMetrics m =
-      core::ExperimentRunner::runTrial(config, kind, trial, &tracer);
+  const metrics::AccessMetrics m = core::ExperimentRunner::runTrial(
+      options->config, kind, trial, &tracer, &telemetry);
 
   const std::string json = trace::toChromeTraceJson(tracer);
   if (!trace::validJson(json)) {
@@ -414,7 +426,7 @@ bool writeTextOutput(const std::string& text, const std::string& path) {
 /// the process exit code.
 int timelineMain(int argc, char** argv) {
   std::uint32_t trial = 0;
-  double dt_ms = 0.0;
+  telemetry::TrialTelemetry telemetry;
   std::string format = "csv";
   std::string out_path;
   std::string prom_path;
@@ -430,12 +442,12 @@ int timelineMain(int argc, char** argv) {
       }
       trial = static_cast<std::uint32_t>(*v);
     } else if (arg == "--dt-ms" && i + 1 < argc) {
-      const auto v = realFlag(argv[++i], 0.0);
-      if (!v) {
+      const auto dt = dtFlag(argv[++i]);
+      if (!dt) {
         timelineUsage(stderr, argv[0]);
         return 2;
       }
-      dt_ms = *v;
+      telemetry.sample_dt = *dt;
     } else if (arg == "--format" && i + 1 < argc) {
       format = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -474,14 +486,8 @@ int timelineMain(int argc, char** argv) {
     return 2;
   }
 
-  core::ExperimentConfig config = options->config;
-  config.sample_dt =
-      dt_ms > 0.0 ? dt_ms * kMilliseconds : core::RunEnv::sampleDt();
-  // runTrial falls back to a 10 ms grid when telemetry is requested with
-  // no interval set.
-  telemetry::TrialTelemetry telemetry;
   const metrics::AccessMetrics m = core::ExperimentRunner::runTrial(
-      config, kind, trial, /*trace_out=*/nullptr, &telemetry);
+      options->config, kind, trial, /*trace_out=*/nullptr, &telemetry);
 
   const std::string text = format == "json"
                                ? telemetry.timeline.toJson(telemetry.sample_dt)
@@ -594,6 +600,7 @@ int tailMain(int argc, char** argv) {
   // Master recorder: retains the slowest K over the whole pool (the
   // retention rule is deterministic, so the ranking matches outliers()).
   core::ExperimentConfig config = options->config;
+  config.flight = true;
   trace::FlightRecorderConfig master_cfg;
   master_cfg.keep_slowest = slowest;
   trace::FlightRecorder master(master_cfg);
