@@ -19,7 +19,7 @@ int main() {
   std::printf("Update access cost (§4.3.4)\n\n");
   std::printf("%8s %8s %16s %14s %18s\n", "K", "N", "mean affected",
               "max affected", "fraction of data");
-  for (const auto [k, n] : {std::pair{128u, 512u}, std::pair{512u, 2048u},
+  for (const auto& [k, n] : {std::pair{128u, 512u}, std::pair{512u, 2048u},
                             std::pair{1024u, 4096u}, std::pair{1024u, 8192u}}) {
     RunningStats mean_affected;
     RunningStats max_affected;

@@ -63,8 +63,11 @@ int main() {
     metadata.registerDisk(record);
   }
   meta::FileDescriptor wfd;
-  metadata.open("sky_survey_2006.dat", meta::AccessType::kWrite,
-                meta::QosOptions{}, &wfd);
+  if (metadata.open("sky_survey_2006.dat", meta::AccessType::kWrite,
+                    meta::QosOptions{}, &wfd) != meta::OpenStatus::kOk) {
+    std::printf("metadata create: FAILED\n");
+    return 1;
+  }
   metadata.registerFile(wfd.handle, 64 * kMiB, kMiB, 64,
                         meta::CodingScheme::kLtCode, coding::LtParams{},
                         {{0, 64}, {1, 64}, {2, 64}, {3, 64}});

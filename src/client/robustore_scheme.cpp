@@ -45,9 +45,10 @@ class LtAdapter final : public DecoderAdapter {
 };
 
 /// Streaming data plane: the same peeling schedule as LtAdapter, run over
-/// real bytes. Each simulated arrival synthesizes the block's payload and
-/// feeds it to the data-mode decoder immediately (move-in, so waiting
-/// blocks adopt the buffer), interleaving all decode work with transfer
+/// real bytes. Each simulated arrival synthesizes the block's payload into
+/// an uninitialised buffer (encodeBlock writes every byte) and hands it to
+/// the data-mode decoder immediately, which keeps it as the waiting block
+/// or the original it resolves, interleaving all decode work with transfer
 /// completions. Completion is decided by the identical peeling process,
 /// so swapping this in changes no simulated behavior.
 class LtStreamAdapter final : public DecoderAdapter {
@@ -59,8 +60,9 @@ class LtStreamAdapter final : public DecoderAdapter {
         encoder_(&encoder),
         decoder_(graph, block_bytes) {}
   bool addSymbol(std::uint32_t id) override {
-    std::vector<std::uint8_t> arrival(block_bytes_);
-    encoder_->encodeBlock(id, arrival);
+    auto arrival =
+        std::make_unique_for_overwrite<std::uint8_t[]>(block_bytes_);
+    encoder_->encodeBlock(id, std::span(arrival.get(), block_bytes_));
     return decoder_.addSymbol(id, std::move(arrival));
   }
   [[nodiscard]] bool complete() const override { return decoder_.complete(); }
@@ -119,7 +121,7 @@ struct RobuStoreScheme::ReadState {
   /// (coded id, synthesized payload) in arrival order.
   std::shared_ptr<const std::vector<std::uint8_t>> data;
   std::unique_ptr<coding::LtEncoder> encoder;
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> arrivals;
+  std::vector<std::pair<std::uint32_t, coding::LtDecoder::Buffer>> arrivals;
   bool batch_data_plane = false;
   /// Heal-on-read ledger: (placement, coded id) pairs whose retries were
   /// exhausted. Re-encoded onto healthy disks if the decode still wins.
@@ -200,8 +202,8 @@ void RobuStoreScheme::attachDataPlane(DataPlaneConfig config) {
 bool RobuStoreScheme::feedRead(ReadState& state, std::uint32_t coded,
                                Bytes block_bytes) {
   if (state.batch_data_plane && !state.decoder->complete()) {
-    std::vector<std::uint8_t> arrival(block_bytes);
-    state.encoder->encodeBlock(coded, arrival);
+    auto arrival = std::make_unique_for_overwrite<std::uint8_t[]>(block_bytes);
+    state.encoder->encodeBlock(coded, std::span(arrival.get(), block_bytes));
     state.arrivals.emplace_back(coded, std::move(arrival));
   }
   return state.decoder->addSymbol(coded);
@@ -210,7 +212,6 @@ bool RobuStoreScheme::feedRead(ReadState& state, std::uint32_t coded,
 void RobuStoreScheme::finishDataPlane(ReadState& state,
                                       const StoredFile& file) {
   DataPlaneReport report;
-  std::vector<std::uint8_t> decoded;
   if (state.batch_data_plane) {
     // The deferred decode: every buffered payload goes through the
     // peeling decoder now, after the last needed transfer has landed.
@@ -223,16 +224,13 @@ void RobuStoreScheme::finishDataPlane(ReadState& state,
     if (!decoder.complete()) return;
     report.symbols_fed = decoder.symbolsUsed();
     report.xor_ops = decoder.xorOps();
-    decoded = decoder.takeData();
+    report.verified = decoder.dataEquals(*state.data);
   } else {
     auto& adapter = static_cast<LtStreamAdapter&>(*state.decoder);
     report.symbols_fed = adapter.received();
     report.xor_ops = adapter.decoder().xorOps();
-    decoded = adapter.decoder().takeData();
+    report.verified = adapter.decoder().dataEquals(*state.data);
   }
-  report.verified = decoded.size() == state.data->size() &&
-                    std::equal(decoded.begin(), decoded.end(),
-                               state.data->begin());
   data_plane_report_ = report;
 }
 

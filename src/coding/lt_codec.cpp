@@ -1,6 +1,7 @@
 #include "coding/lt_codec.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "coding/xor_kernel.hpp"
@@ -48,7 +49,7 @@ LtDecoder::LtDecoder(const LtGraph& graph, Bytes block_size,
   watch_prefix_ = std::min(watch_prefix, k);
   const std::uint32_t n = graph.n();
   if (block_size_ > 0) {
-    data_.resize(static_cast<std::size_t>(k) * block_size_);
+    blocks_.resize(k);
     payloads_.resize(n);
   }
   received_.assign(n, false);
@@ -77,14 +78,15 @@ bool LtDecoder::addSymbol(std::uint32_t coded_id,
   return ingest(coded_id, payload, nullptr);
 }
 
-bool LtDecoder::addSymbol(std::uint32_t coded_id,
-                          std::vector<std::uint8_t>&& payload) {
-  return ingest(coded_id, payload, &payload);
+bool LtDecoder::addSymbol(std::uint32_t coded_id, Buffer&& payload) {
+  return ingest(coded_id,
+                std::span<const std::uint8_t>(
+                    payload.get(), payload != nullptr ? block_size_ : 0),
+                &payload);
 }
 
 bool LtDecoder::ingest(std::uint32_t coded_id,
-                       std::span<const std::uint8_t> payload,
-                       std::vector<std::uint8_t>* owned) {
+                       std::span<const std::uint8_t> payload, Buffer* owned) {
   const telemetry::HostProfiler::Scope profile(
       telemetry::HostScope::kDecode);
   ROBUSTORE_EXPECTS(coded_id < graph_->n(), "coded id out of range");
@@ -102,22 +104,24 @@ bool LtDecoder::ingest(std::uint32_t coded_id,
   }
   remaining_[coded_id] = rem;
   if (rem == 0) return complete();
-  if (rem == 1) {
-    // Streaming fast path: the arrival resolves an original right now, so
-    // peel straight from the caller's buffer — nothing is copied into or
-    // allocated for the payload store.
-    resolve(coded_id, payload);
-    drainRipple();
-    return complete();
-  }
-  // The block has to wait for more arrivals; only now does buffering
-  // happen (adopting the caller's vector when it offered one).
+  // The bytes are kept from here on: adopt the caller's buffer when it
+  // offered one, else copy once into a fresh uninitialised buffer.
+  Buffer kept;
   if (block_size_ > 0) {
     if (owned != nullptr) {
-      payloads_[coded_id] = std::move(*owned);
+      kept = std::move(*owned);
     } else {
-      payloads_[coded_id].assign(payload.begin(), payload.end());
+      kept = std::make_unique_for_overwrite<std::uint8_t[]>(block_size_);
+      std::copy(payload.begin(), payload.end(), kept.get());
     }
+  }
+  if (rem == 1) {
+    // Streaming fast path: the arrival resolves an original right now,
+    // and the ripple it triggers runs before we return.
+    resolve(coded_id, std::move(kept));
+    drainRipple();
+  } else if (block_size_ > 0) {
+    payloads_[coded_id] = std::move(kept);  // waits for more arrivals
   }
   return complete();
 }
@@ -127,17 +131,11 @@ void LtDecoder::drainRipple() {
     const std::uint32_t c = ripple_.back();
     ripple_.pop_back();
     if (remaining_[c] != 1) continue;
-    resolve(c, block_size_ > 0 ? std::span<const std::uint8_t>(payloads_[c])
-                               : std::span<const std::uint8_t>{});
-    if (block_size_ > 0) {
-      payloads_[c].clear();
-      payloads_[c].shrink_to_fit();
-    }
+    resolve(c, block_size_ > 0 ? std::move(payloads_[c]) : Buffer{});
   }
 }
 
-void LtDecoder::resolve(std::uint32_t coded_id,
-                        std::span<const std::uint8_t> payload) {
+void LtDecoder::resolve(std::uint32_t coded_id, Buffer payload) {
   const auto nb = graph_->neighbors(coded_id);
   std::uint32_t target = graph_->k();
   for (const auto o : nb) {
@@ -149,15 +147,10 @@ void LtDecoder::resolve(std::uint32_t coded_id,
   ROBUSTORE_EXPECTS(target < graph_->k(), "resolve without an open neighbor");
 
   if (block_size_ > 0) {
-    // Lazy XOR: combine the payload with every *recovered* neighbor now,
-    // folding neighbor pairs in fused two-source passes over the target.
-    auto dst = std::span(data_).subspan(
-        static_cast<std::size_t>(target) * block_size_, block_size_);
-    std::copy(payload.begin(), payload.end(), dst.begin());
-    const auto block = [&](std::uint32_t o) {
-      return std::span<const std::uint8_t>(data_).subspan(
-          static_cast<std::size_t>(o) * block_size_, block_size_);
-    };
+    // Lazy XOR: fold every *recovered* neighbor into the resolving block's
+    // own buffer, neighbor pairs in fused two-source passes; the buffer
+    // then becomes the target's storage.
+    const std::span<std::uint8_t> dst(payload.get(), block_size_);
     std::uint32_t pending = graph_->k();
     for (const auto o : nb) {
       if (o == target) continue;
@@ -173,6 +166,7 @@ void LtDecoder::resolve(std::uint32_t coded_id,
       xorInto(dst, block(pending));
       ++xor_ops_;
     }
+    blocks_[target] = std::move(payload);
   } else {
     xor_ops_ += nb.size() - 1;
   }
@@ -190,18 +184,51 @@ void LtDecoder::resolve(std::uint32_t coded_id,
   }
 }
 
+std::span<const std::uint8_t> LtDecoder::block(std::uint32_t original) const {
+  ROBUSTORE_EXPECTS(original < graph_->k() && blocks_.size() == graph_->k() &&
+                        blocks_[original] != nullptr,
+                    "block of an original that is not held recovered");
+  return {blocks_[original].get(), block_size_};
+}
+
+bool LtDecoder::dataEquals(std::span<const std::uint8_t> expected) const {
+  ROBUSTORE_EXPECTS(block_size_ > 0, "dataEquals in ID-only mode");
+  const std::uint32_t k = graph_->k();
+  if (!complete() || expected.size() != std::size_t{k} * block_size_) {
+    return false;
+  }
+  for (std::uint32_t o = 0; o < k; ++o) {
+    const auto got = block(o);
+    if (!std::equal(got.begin(), got.end(),
+                    expected.begin() + std::size_t{o} * block_size_)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<std::uint8_t> LtDecoder::gather(std::uint32_t count) {
+  std::vector<std::uint8_t> out;
+  out.reserve(std::size_t{count} * block_size_);
+  for (std::uint32_t o = 0; o < count; ++o) {
+    const auto bytes = block(o);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+    blocks_[o].reset();
+  }
+  return out;
+}
+
 std::vector<std::uint8_t> LtDecoder::takeData() {
   ROBUSTORE_EXPECTS(complete(), "takeData before decoding completed");
   ROBUSTORE_EXPECTS(block_size_ > 0, "takeData in ID-only mode");
-  return std::move(data_);
+  return gather(graph_->k());
 }
 
 std::vector<std::uint8_t> LtDecoder::takePrefixData() {
   ROBUSTORE_EXPECTS(prefixComplete(),
                     "takePrefixData before the prefix was recovered");
   ROBUSTORE_EXPECTS(block_size_ > 0, "takePrefixData in ID-only mode");
-  data_.resize(static_cast<std::size_t>(watch_prefix_) * block_size_);
-  return std::move(data_);
+  return gather(watch_prefix_);
 }
 
 }  // namespace robustore::coding

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -41,8 +42,19 @@ class LtEncoder {
 ///  * ID mode (block_size == 0): runs the identical peeling schedule over
 ///    block identities only — this is what the storage simulator uses to
 ///    learn exactly when a read access can complete.
+///
+/// Data-mode ownership: the decoder's memory is the received coded blocks
+/// and nothing else. A block that must wait for more arrivals is held in
+/// its own buffer; when it resolves, the recovered neighbours are XORed
+/// into that buffer in place and the buffer becomes the recovered
+/// original's storage. There is no separate k × block_size output array,
+/// so recovered originals are read one at a time through block(), compared
+/// in place by dataEquals(), or gathered into one vector by takeData().
 class LtDecoder {
  public:
+  /// One block-sized buffer, uninitialised on allocation.
+  using Buffer = std::unique_ptr<std::uint8_t[]>;
+
   /// `watch_prefix` (default: all of k) selects how many leading original
   /// blocks the prefix counter tracks; composed codes (Raptor) use it to
   /// detect "all source symbols recovered" before every intermediate is.
@@ -53,18 +65,20 @@ class LtDecoder {
   /// current completion state). In data mode `payload` must be block_size
   /// bytes; in ID mode it must be empty.
   ///
-  /// Streaming contract: a block that reduces to degree one on arrival is
-  /// resolved directly from the caller's buffer — no copy, no allocation
-  /// — and the ripple it triggers runs before addSymbol returns. Only
-  /// blocks that must wait for more arrivals are buffered, so feeding
-  /// blocks as transfers complete interleaves all peeling work with I/O
-  /// and leaves no decode batch for the end of the read.
+  /// Streaming contract: a block that reduces to degree one on arrival
+  /// resolves its original before addSymbol returns, and the ripple it
+  /// triggers runs too, so feeding blocks as transfers complete
+  /// interleaves all peeling work with I/O and leaves no decode batch for
+  /// the end of the read. The bytes are copied once, into a fresh buffer,
+  /// only when they must be kept (the block resolves or has to wait); a
+  /// block that arrives fully recovered is dropped without a copy.
   bool addSymbol(std::uint32_t coded_id,
                  std::span<const std::uint8_t> payload = {});
 
-  /// Move-in variant for streaming arrivals that own their buffer: a
-  /// block that has to wait adopts the vector instead of copying it.
-  bool addSymbol(std::uint32_t coded_id, std::vector<std::uint8_t>&& payload);
+  /// Move-in variant for arrivals that own a block_size buffer: the
+  /// decoder adopts it (as the waiting block, or as the original it
+  /// resolves) and never copies the bytes.
+  bool addSymbol(std::uint32_t coded_id, Buffer&& payload);
 
   [[nodiscard]] bool complete() const { return recovered_count_ == graph_->k(); }
   [[nodiscard]] std::uint32_t recoveredCount() const { return recovered_count_; }
@@ -91,7 +105,17 @@ class LtDecoder {
   /// degree-1 per resolving block and none for never-resolving blocks).
   [[nodiscard]] std::uint64_t xorOps() const { return xor_ops_; }
 
+  /// Data mode only: the bytes of one recovered original; aborts if it
+  /// is not recovered (or was already taken).
+  [[nodiscard]] std::span<const std::uint8_t> block(
+      std::uint32_t original) const;
+
+  /// Data mode only: true iff decoding is complete, `expected` is
+  /// k * block_size bytes and every recovered byte equals it.
+  [[nodiscard]] bool dataEquals(std::span<const std::uint8_t> expected) const;
+
   /// Data mode only: concatenated original blocks; aborts if !complete().
+  /// Each block's buffer is released as it is gathered.
   [[nodiscard]] std::vector<std::uint8_t> takeData();
 
   /// Data mode only: the first watch-prefix blocks, once prefixComplete().
@@ -101,16 +125,17 @@ class LtDecoder {
 
  private:
   bool ingest(std::uint32_t coded_id, std::span<const std::uint8_t> payload,
-              std::vector<std::uint8_t>* owned);
-  /// Recovers the one open neighbor of `coded_id` from `payload` (the
-  /// arrival buffer on the fast path, the buffered copy otherwise).
-  void resolve(std::uint32_t coded_id, std::span<const std::uint8_t> payload);
+              Buffer* owned);
+  /// Recovers the one open neighbor of `coded_id`: XORs the recovered
+  /// neighbors into `payload` (data mode) and keeps it as the original.
+  void resolve(std::uint32_t coded_id, Buffer payload);
   void drainRipple();
+  [[nodiscard]] std::vector<std::uint8_t> gather(std::uint32_t count);
 
   const LtGraph* graph_;
   Bytes block_size_;
-  std::vector<std::uint8_t> data_;         // k * block_size (data mode)
-  std::vector<std::vector<std::uint8_t>> payloads_;  // per coded block
+  std::vector<Buffer> blocks_;    // per original: recovered bytes (data mode)
+  std::vector<Buffer> payloads_;  // per coded block: waiting arrivals
   std::vector<bool> received_;
   std::vector<bool> recovered_;
   std::vector<std::uint32_t> remaining_;   // unrecovered-neighbor counts

@@ -21,6 +21,12 @@ ExperimentConfig smallConfig() {
   return cfg;
 }
 
+RunOptions withThreads(unsigned threads) {
+  RunOptions options;
+  options.threads = threads;
+  return options;
+}
+
 TEST(ExperimentRunner, ReadExperimentProducesAllTrials) {
   ExperimentRunner runner(smallConfig());
   const auto agg = runner.run(client::SchemeKind::kRobuStore);
@@ -149,9 +155,9 @@ TEST(ExperimentRunner, ParallelRunIsBitIdenticalToSerialForAllSchemes) {
        {client::SchemeKind::kRaid0, client::SchemeKind::kRRaidS,
         client::SchemeKind::kRRaidA, client::SchemeKind::kRobuStore}) {
     ExperimentRunner runner(cfg);
-    const auto serial = runner.run(kind, RunOptions{.threads = 1});
+    const auto serial = runner.run(kind, withThreads(1));
     for (const unsigned threads : {2u, 8u}) {
-      const auto parallel = runner.run(kind, RunOptions{.threads = threads});
+      const auto parallel = runner.run(kind, withThreads(threads));
       expectBitIdentical(serial, parallel, client::schemeName(kind));
     }
   }
@@ -161,8 +167,8 @@ TEST(ExperimentRunner, ParallelRunAllIsBitIdenticalToSerial) {
   auto cfg = smallConfig();
   cfg.trials = 4;
   ExperimentRunner runner(cfg);
-  const auto serial = runner.runAll(RunOptions{.threads = 1});
-  const auto parallel = runner.runAll(RunOptions{.threads = 8});
+  const auto serial = runner.runAll(withThreads(1));
+  const auto parallel = runner.runAll(withThreads(8));
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].kind, parallel[i].kind);
@@ -182,9 +188,9 @@ TEST(ExperimentRunner, ParallelMatchesSerialUnderBackgroundLoad) {
     cfg.bg_interval = 40 * kMilliseconds;
     ExperimentRunner runner(cfg);
     const auto serial =
-        runner.run(client::SchemeKind::kRobuStore, RunOptions{.threads = 1});
+        runner.run(client::SchemeKind::kRobuStore, withThreads(1));
     const auto parallel =
-        runner.run(client::SchemeKind::kRobuStore, RunOptions{.threads = 8});
+        runner.run(client::SchemeKind::kRobuStore, withThreads(8));
     expectBitIdentical(serial, parallel, "background");
   }
 }
@@ -213,9 +219,9 @@ TEST(ExperimentRunner, CoupledExperimentsIgnoreThreadCount) {
   ExperimentRunner a(cfg);
   ExperimentRunner b(cfg);
   const auto serial =
-      a.run(client::SchemeKind::kRobuStore, RunOptions{.threads = 1});
+      a.run(client::SchemeKind::kRobuStore, withThreads(1));
   const auto parallel =
-      b.run(client::SchemeKind::kRobuStore, RunOptions{.threads = 8});
+      b.run(client::SchemeKind::kRobuStore, withThreads(8));
   expectBitIdentical(serial, parallel, "coupled");
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "coding/xor_kernel.hpp"
@@ -15,6 +16,20 @@ std::vector<std::uint8_t> randomData(std::size_t n, Rng& rng) {
   std::vector<std::uint8_t> v(n);
   for (auto& b : v) b = static_cast<std::uint8_t>(rng.below(256));
   return v;
+}
+
+/// Encodes coded block `c` into a fresh uninitialised buffer, the way a
+/// streaming arrival owns its payload.
+LtDecoder::Buffer encodeArrival(const LtEncoder& encoder, std::uint32_t c,
+                                Bytes block) {
+  auto arrival = std::make_unique_for_overwrite<std::uint8_t[]>(block);
+  encoder.encodeBlock(c, std::span(arrival.get(), block));
+  return arrival;
+}
+
+std::span<const std::uint8_t> sourceBlock(
+    const std::vector<std::uint8_t>& data, std::uint32_t o, Bytes block) {
+  return std::span(data).subspan(std::size_t{o} * block, block);
 }
 
 struct CodecShape {
@@ -200,9 +215,7 @@ TEST(LtDecoder, MoveInOverloadMatchesSpanOverload) {
   for (const auto c : order) {
     const bool a =
         copying.addSymbol(c, std::span(coded).subspan(c * block, block));
-    std::vector<std::uint8_t> arrival(block);
-    encoder.encodeBlock(c, arrival);
-    const bool b = adopting.addSymbol(c, std::move(arrival));
+    const bool b = adopting.addSymbol(c, encodeArrival(encoder, c, block));
     ASSERT_EQ(a, b);
     if (a) break;
   }
@@ -232,9 +245,7 @@ TEST(LtDecoder, StreamingFastPathResolvesDegreeOneArrivalsInPlace) {
       if (!decoder.isRecovered(o)) ++open;
     }
     const auto before = decoder.recoveredCount();
-    std::vector<std::uint8_t> arrival(block);
-    encoder.encodeBlock(c, arrival);
-    const bool done = decoder.addSymbol(c, std::move(arrival));
+    const bool done = decoder.addSymbol(c, encodeArrival(encoder, c, block));
     if (open == 1) {
       EXPECT_GE(decoder.recoveredCount(), before + 1) << "coded=" << c;
     }
@@ -242,6 +253,107 @@ TEST(LtDecoder, StreamingFastPathResolvesDegreeOneArrivalsInPlace) {
   }
   ASSERT_TRUE(decoder.complete());
   EXPECT_EQ(decoder.takeData(), data);
+}
+
+TEST(LtDecoder, MoveInArrivalsBecomeTheRecoveredBlocks) {
+  // Data-mode ownership: a recovered original lives in the buffer of the
+  // coded block that resolved it — a degree-one arrival's own buffer, or
+  // a waiting block's buffer when the ripple resolves it.
+  const Bytes block = 32;
+  const LtGraph graph = LtGraph::fromAdjacency(3, {{0, 1}, {0}, {1, 2}});
+  Rng rng(10);
+  const auto data = randomData(3 * block, rng);
+  const LtEncoder encoder(graph, data, block);
+  LtDecoder decoder(graph, block);
+
+  auto waiting = encodeArrival(encoder, 0, block);  // {0,1}: must wait
+  const std::uint8_t* waiting_ptr = waiting.get();
+  EXPECT_FALSE(decoder.addSymbol(0, std::move(waiting)));
+  EXPECT_EQ(decoder.recoveredCount(), 0u);
+
+  auto single = encodeArrival(encoder, 1, block);  // {0}: resolves o0
+  const std::uint8_t* single_ptr = single.get();
+  EXPECT_FALSE(decoder.addSymbol(1, std::move(single)));
+  ASSERT_TRUE(decoder.isRecovered(0));
+  ASSERT_TRUE(decoder.isRecovered(1));  // the ripple peeled block 0
+  EXPECT_EQ(decoder.block(0).data(), single_ptr);
+  EXPECT_EQ(decoder.block(1).data(), waiting_ptr);
+
+  auto last = encodeArrival(encoder, 2, block);  // {1,2}: degree one now
+  const std::uint8_t* last_ptr = last.get();
+  EXPECT_TRUE(decoder.addSymbol(2, std::move(last)));
+  EXPECT_EQ(decoder.block(2).data(), last_ptr);
+  for (std::uint32_t o = 0; o < 3; ++o) {
+    EXPECT_TRUE(
+        std::ranges::equal(decoder.block(o), sourceBlock(data, o, block)))
+        << "original=" << o;
+  }
+  EXPECT_EQ(decoder.xorOps(), 2u);
+}
+
+TEST(LtDecoder, RecoveredBlocksMatchTheSourceAtEveryStep) {
+  // Every recovered original is readable in place, with the right bytes,
+  // as soon as it is recovered — whichever overload delivered it.
+  Rng rng(11);
+  const std::uint32_t k = 64, n = 256;
+  const Bytes block = 40;
+  const LtGraph graph = LtGraph::generate(k, n, LtParams{}, rng);
+  const auto data = randomData(static_cast<std::size_t>(k) * block, rng);
+  const LtEncoder encoder(graph, data, block);
+  const auto coded = encoder.encodeAll();
+
+  LtDecoder decoder(graph, block);
+  const auto order = rng.permutation(n);
+  bool done = false;
+  for (std::size_t i = 0; i < order.size() && !done; ++i) {
+    const auto c = order[i];
+    if (i % 2 == 0) {
+      done = decoder.addSymbol(c, std::span(coded).subspan(c * block, block));
+    } else {
+      done = decoder.addSymbol(c, encodeArrival(encoder, c, block));
+    }
+    for (std::uint32_t o = 0; o < k; ++o) {
+      if (!decoder.isRecovered(o)) continue;
+      ASSERT_TRUE(
+          std::ranges::equal(decoder.block(o), sourceBlock(data, o, block)))
+          << "step=" << i << " original=" << o;
+    }
+  }
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_TRUE(decoder.dataEquals(data));
+}
+
+TEST(LtDecoder, DataEqualsRejectsMismatchesAndIncompleteDecodes) {
+  Rng rng(12);
+  const std::uint32_t k = 32, n = 128;
+  const Bytes block = 24;
+  const LtGraph graph = LtGraph::generate(k, n, LtParams{}, rng);
+  const auto data = randomData(static_cast<std::size_t>(k) * block, rng);
+  const LtEncoder encoder(graph, data, block);
+
+  LtDecoder decoder(graph, block);
+  const auto order = rng.permutation(n);
+  for (const auto c : order) {
+    if (!decoder.complete()) {
+      EXPECT_FALSE(decoder.dataEquals(data));
+    }
+    if (decoder.addSymbol(c, encodeArrival(encoder, c, block))) break;
+  }
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_TRUE(decoder.dataEquals(data));
+
+  auto first = data;
+  first.front() ^= 0x01;
+  EXPECT_FALSE(decoder.dataEquals(first));
+  auto last = data;
+  last.back() ^= 0x80;
+  EXPECT_FALSE(decoder.dataEquals(last));
+  const std::span<const std::uint8_t> all(data);
+  EXPECT_FALSE(decoder.dataEquals(all.first(all.size() - 1)));
+  auto longer = data;
+  longer.push_back(0);
+  EXPECT_FALSE(decoder.dataEquals(longer));
+  EXPECT_TRUE(decoder.dataEquals(data));  // the checks consumed nothing
 }
 
 }  // namespace

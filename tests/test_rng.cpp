@@ -63,7 +63,9 @@ TEST_P(RngBelowTest, StaysInBoundsAndHitsAllValues) {
     ASSERT_LT(v, n);
     seen.insert(v);
   }
-  if (n <= 16) EXPECT_EQ(seen.size(), n);
+  if (n <= 16) {
+    EXPECT_EQ(seen.size(), n);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Bounds, RngBelowTest,

@@ -59,8 +59,8 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeReadTest,
                                            SchemeKind::kRRaidS,
                                            SchemeKind::kRRaidA,
                                            SchemeKind::kRobuStore),
-                         [](const ::testing::TestParamInfo<SchemeKind>& info) {
-                           switch (info.param) {
+                         [](const ::testing::TestParamInfo<SchemeKind>& p) {
+                           switch (p.param) {
                              case SchemeKind::kRaid0:
                                return std::string("Raid0");
                              case SchemeKind::kRRaidS:

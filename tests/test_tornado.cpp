@@ -123,7 +123,9 @@ TEST(Tornado, DecodableIsConsistentWithDecode) {
     const bool feasible = code.decodable(present);
     const auto decoded = code.decode(present, coded, block);
     EXPECT_EQ(feasible, !decoded.empty());
-    if (feasible) EXPECT_EQ(decoded, data);
+    if (feasible) {
+      EXPECT_EQ(decoded, data);
+    }
   }
 }
 

@@ -49,7 +49,9 @@ TEST_P(XorSizeTest, DoubleXorIsIdentity) {
   const auto original = dst;
   const auto src = randomBytes(n, rng);
   xorInto(dst, src);
-  if (n > 0) EXPECT_NE(dst, original);
+  if (n > 0) {
+    EXPECT_NE(dst, original);
+  }
   xorInto(dst, src);
   EXPECT_EQ(dst, original);
 }
