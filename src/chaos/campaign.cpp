@@ -112,11 +112,6 @@ bool worstCaseUndecodable(const CampaignPlan& plan,
   });
 }
 
-struct AccessRun {
-  client::Scheme::Session session;
-  AccessOutcome outcome;
-};
-
 }  // namespace
 
 CampaignResult runCampaign(const CampaignPlan& plan,
@@ -284,66 +279,60 @@ CampaignResult runCampaign(const CampaignPlan& plan,
     robu->attachDataPlane({std::move(data), /*streaming=*/true});
   }
 
-  std::vector<std::unique_ptr<AccessRun>> runs;
+  CampaignResult result;
+  Observations& obs = result.observations;
+  obs.plan = &plan;
+  obs.planned = plannedCounts(plan);
+  obs.worst_case_undecodable = worst_case_undecodable;
+  obs.accesses.resize(plan.accesses);
   for (std::uint32_t i = 0; i < plan.accesses; ++i) {
-    runs.push_back(std::make_unique<AccessRun>());
-    runs.back()->outcome.index = i;
+    obs.accesses[i].index = i;
   }
 
   const auto placement_dead_now = [&](std::uint32_t p) {
     return cluster.disk(file.placements[p].global_disk).failed();
   };
 
-  std::function<void(std::uint32_t)> launch;
-  launch = [&](std::uint32_t idx) {
-    AccessRun& run = *runs[idx];
-    run.outcome.started = true;
-    run.session.on_complete = [&, idx] {
-      AccessRun& r = *runs[idx];
-      r.outcome.terminated = true;
-      r.outcome.complete = r.session.complete;
-      scheme->cancelOutstanding(r.session);
-      if (!r.session.complete) {
-        // Exemption snapshot at failure time: was the data genuinely
-        // unreachable when the access gave up?
-        r.outcome.failure_exempt =
-            dataUnreachable(plan.scheme, file, placement_dead_now);
-      } else if (robu != nullptr && robu->dataPlaneReport().has_value()) {
-        const auto& report = *robu->dataPlaneReport();
-        r.outcome.data_plane_ran = true;
-        r.outcome.data_verified = report.verified;
-        r.outcome.symbols_fed = report.symbols_fed;
-      }
-      if (idx + 1 < plan.accesses) {
-        engine.schedule(0.05, [&launch, idx] { launch(idx + 1); });
-      }
-    };
-    scheme->beginRead(run.session, file, acfg);
+  // One client reading the file back to back. An access the deadline
+  // catches in flight is aborted unterminated, and one it catches before
+  // it started never starts: both are the completion invariant's business.
+  core::ClientLoop loop{
+      .schemes = {scheme.get()},
+      .access = acfg,
+      .accesses = plan.accesses,
+      .think = 0.05,
+      .deadline = plan.deadline,
+      .begin = [&](const core::ClientLoop::Access& a) {
+        obs.accesses[a.index].started = true;
+        return &file;
+      },
+      .end = [&](const core::ClientLoop::Access& a) {
+        AccessOutcome& oc = obs.accesses[a.index];
+        oc.terminated = true;
+        oc.complete = a.session.complete;
+        if (!a.session.complete) {
+          // Exemption snapshot at failure time: was the data genuinely
+          // unreachable when the access gave up?
+          oc.failure_exempt =
+              dataUnreachable(plan.scheme, file, placement_dead_now);
+        } else if (robu != nullptr && robu->dataPlaneReport().has_value()) {
+          const auto& report = *robu->dataPlaneReport();
+          oc.data_plane_ran = true;
+          oc.data_verified = report.verified;
+          oc.symbols_fed = report.symbols_fed;
+        }
+        return false;
+      },
+      .collect = [&](const core::ClientLoop::Access& a) {
+        AccessOutcome& oc = obs.accesses[a.index];
+        if (oc.started) {
+          oc.metrics = scheme->collect(a.session, file.dataBytes(), file.k);
+          oc.corrupt_rejected = a.session.corrupt_rejected;
+        }
+        obs.live_session_requests += a.session.live_requests;
+      },
   };
-  engine.schedule(0.0, [&launch] { launch(0); });
-
-  // An unterminated access stays unterminated through the abort: that is
-  // the completion invariant's business.
-  stack.quiesce(plan.deadline, [&] {
-    for (auto& run : runs) {
-      if (run->outcome.started) scheme->abortRead(run->session);
-    }
-  });
-
-  CampaignResult result;
-  Observations& obs = result.observations;
-  obs.plan = &plan;
-  obs.planned = plannedCounts(plan);
-  obs.worst_case_undecodable = worst_case_undecodable;
-
-  for (auto& run : runs) {
-    AccessOutcome& oc = run->outcome;
-    if (oc.started) {
-      oc.metrics = scheme->collect(run->session, file.dataBytes(), file.k);
-      oc.corrupt_rejected = run->session.corrupt_rejected;
-    }
-    obs.accesses.push_back(oc);
-  }
+  loop.run(stack);
 
   obs.injected_fail_stop = injector.injected(fault::FaultKind::kFailStop);
   obs.injected_crash_recover =
@@ -378,9 +367,6 @@ CampaignResult runCampaign(const CampaignPlan& plan,
   }
   for (const std::uint32_t g : roster) {
     obs.live_disk_requests += cluster.disk(g).liveRequestCount();
-  }
-  for (auto& run : runs) {
-    obs.live_session_requests += run->session.live_requests;
   }
   obs.end_time = engine.now();
 

@@ -72,7 +72,6 @@ class RobuStoreScheme final : public Scheme {
   [[nodiscard]] SchemeKind kind() const override {
     return SchemeKind::kRobuStore;
   }
-  [[nodiscard]] const coding::LtParams& ltParams() const { return lt_; }
   [[nodiscard]] CodecKind codec() const { return codec_; }
 
   [[nodiscard]] StoredFile planFile(const AccessConfig& config,

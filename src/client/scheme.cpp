@@ -90,7 +90,6 @@ void Scheme::beginRead(Session& session, StoredFile& file,
                        const AccessConfig& config) {
   ROBUSTORE_EXPECTS(!file.placements.empty(), "read of an unplaced file");
   if (session.stream == 0) session.stream = cluster_->nextStream();
-  healed_blocks_ = 0;
   if (config.heal_on_read) {
     // Stream + rng drawn only when healing is on: a non-healing run must
     // see exactly the stream-id sequence it always did.
@@ -124,12 +123,11 @@ void Scheme::issueHealWrite(StoredFile& file, std::uint32_t placement,
   req.disk_index = cluster_->localDiskIndex(p.global_disk);
   req.layout = &p.layout;
   req.layout_block = pos;
-  srv.writeBlock(req, [this, &file, placement, block_id] {
+  srv.writeBlock(req, [&file, placement, block_id] {
     // Commit ack: the copy is durable, record it. Acks on one stream to
     // one disk are FIFO, so stored order tracks layout-position order
     // even with several heal writes in flight.
     file.placements[placement].stored.push_back(block_id);
-    ++healed_blocks_;
   });
   // No failure handler: if the target dies mid-heal the layout slot stays
   // unrecorded and a later heal/repair writes over it.

@@ -315,8 +315,6 @@ class Scheme {
   /// anyway and a later repair pass owns it.
   void issueHealWrite(StoredFile& file, std::uint32_t placement,
                       std::uint64_t block_id);
-  /// Block copies written back by heal-on-read in the current access.
-  [[nodiscard]] std::uint32_t healedBlocks() const { return healed_blocks_; }
 
   [[nodiscard]] Cluster& cluster() { return *cluster_; }
   [[nodiscard]] sim::Engine& engine() { return cluster_->engine(); }
@@ -355,7 +353,6 @@ class Scheme {
   /// of non-healing runs).
   disk::StreamId heal_stream_ = 0;
   Rng heal_rng_;
-  std::uint32_t healed_blocks_ = 0;
 };
 
 /// Which rateless code backs the RobuSTore data plane. LT is the paper's

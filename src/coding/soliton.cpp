@@ -20,18 +20,18 @@ RobustSoliton::RobustSoliton(std::uint32_t k, double c, double delta)
   ROBUSTORE_EXPECTS(k >= 1, "soliton needs k >= 1");
   ROBUSTORE_EXPECTS(c > 0 && delta > 0 && delta < 1,
                     "soliton needs c > 0 and delta in (0,1)");
-  r_ = c * std::log(static_cast<double>(k) / delta) * std::sqrt(k);
+  const double r = c * std::log(static_cast<double>(k) / delta) * std::sqrt(k);
   // Spike position k/R, clamped into the valid degree range [1, k].
   const auto spike = static_cast<std::uint32_t>(std::clamp(
-      std::floor(static_cast<double>(k) / std::max(r_, 1e-12)), 1.0,
+      std::floor(static_cast<double>(k) / std::max(r, 1e-12)), 1.0,
       static_cast<double>(k)));
 
   std::vector<double> weight(k + 1, 0.0);
   for (std::uint32_t i = 1; i <= k; ++i) weight[i] = rho(k, i);
   for (std::uint32_t i = 1; i < spike; ++i) {
-    weight[i] += r_ / (static_cast<double>(i) * k);
+    weight[i] += r / (static_cast<double>(i) * k);
   }
-  weight[spike] += r_ * std::log(r_ / delta) / k;
+  weight[spike] += r * std::log(r / delta) / k;
 
   double beta = 0.0;
   for (std::uint32_t i = 1; i <= k; ++i) beta += weight[i];

@@ -25,7 +25,6 @@ class RobustSoliton {
   [[nodiscard]] std::uint32_t k() const { return k_; }
   [[nodiscard]] double c() const { return c_; }
   [[nodiscard]] double delta() const { return delta_; }
-  [[nodiscard]] double rippleR() const { return r_; }
 
   /// Probability of degree d (1-based; 0 outside [1, k]).
   [[nodiscard]] double pmf(std::uint32_t d) const;
@@ -40,7 +39,6 @@ class RobustSoliton {
   std::uint32_t k_;
   double c_;
   double delta_;
-  double r_;
   std::vector<double> cdf_;  // cdf_[d-1] = P(degree <= d)
 };
 

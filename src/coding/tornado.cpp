@@ -72,10 +72,6 @@ TornadoCode::TornadoCode(std::uint32_t k, const TornadoParams& params,
   n_ = offset + rs_parities_;
 }
 
-std::uint32_t TornadoCode::levelOffset(std::size_t level) const {
-  return level_offsets_[level];
-}
-
 std::vector<std::uint8_t> TornadoCode::encodeAll(
     std::span<const std::uint8_t> data, Bytes block_size) const {
   ROBUSTORE_EXPECTS(data.size() == static_cast<std::size_t>(k_) * block_size,

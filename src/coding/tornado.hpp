@@ -42,7 +42,6 @@ class TornadoCode {
   [[nodiscard]] double rate() const {
     return static_cast<double>(k_) / static_cast<double>(n_);
   }
-  [[nodiscard]] std::size_t levels() const { return level_sizes_.size(); }
   [[nodiscard]] std::uint32_t levelSize(std::size_t level) const {
     return level_sizes_[level];
   }
@@ -70,8 +69,6 @@ class TornadoCode {
   bool solve(const std::vector<bool>& present,
              std::vector<std::uint8_t>* data, Bytes block_size,
              std::span<const std::uint8_t> received) const;
-
-  [[nodiscard]] std::uint32_t levelOffset(std::size_t level) const;
 
   std::uint32_t k_ = 0;
   std::uint32_t n_ = 0;

@@ -37,13 +37,14 @@ struct MultiClientConfig {
   SimTime retry_interval = 250 * kMilliseconds;
   std::uint64_t seed = 42;
 
-  /// Accesses each client performs back to back. 1 (the default) is the
-  /// legacy single-access experiment — bit-identical to prior releases,
-  /// with per-access metrics collected after the global drain. Larger
-  /// values run a sequential campaign per client: each completed access
-  /// is collected at completion (its in-flight speculative tail is
-  /// cancelled rather than drained) and the client re-selects disks for
-  /// the next one.
+  /// Accesses each client performs back to back on a core::ClientLoop;
+  /// each finished access has its queued speculative tail cancelled. 1
+  /// (the default) is the legacy single-access experiment, bit-identical
+  /// to prior releases: metrics are collected after the global drain, so
+  /// bytes of requests still in service count. Larger values run a
+  /// sequential campaign per client: each access is collected when it
+  /// finishes, before its in-service requests settle, and the client
+  /// re-selects disks for the next one.
   std::uint32_t accesses_per_client = 1;
   /// Pause between a client's access completion and its next selection.
   SimTime think_time = 0.0;
@@ -66,8 +67,8 @@ struct MultiClientConfig {
 
 struct MultiClientResult {
   /// Per-access metrics over the client population (one entry per
-  /// completed access, plus one pending/incomplete access per client the
-  /// deadline caught mid-flight).
+  /// finished access, plus one incomplete entry per client whose latest
+  /// access the deadline caught mid-flight or before it started).
   metrics::AccessAggregate accesses;
   /// Total useful bytes over the makespan (first arrival to last
   /// completion) — the system-throughput view of §5.4.

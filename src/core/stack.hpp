@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "client/cluster.hpp"
+#include "client/scheme.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "repair/repair.hpp"
@@ -31,7 +32,8 @@ inline constexpr std::uint64_t kChaosData = 0xDA7A11A5;
 /// the optional parts several drivers assemble alike — tracer and flight
 /// recorder, telemetry sampler, a fault injector over a disk roster, a
 /// repair service fed by churn. ExperimentRunner, MultiClientExperiment,
-/// chaos::runCampaign and the durability sweep keep only their workloads.
+/// chaos::runCampaign and the durability sweep keep only their workloads;
+/// the closed-loop ones (multi-client, chaos) run them on a ClientLoop.
 ///
 /// Members are declared in dependency order, so each is destroyed before
 /// what it points into; pinned because members and driver callbacks hold
@@ -89,16 +91,6 @@ class Stack {
   /// where the driver empties the slot, then is reported back.
   void repairOnChurn(std::function<void(std::uint32_t)> on_replacement = {});
 
-  /// Runs to `deadline`, lets `abort` settle every live session (so the
-  /// drain cannot replay watchdog/retry chains past the deadline), then
-  /// drains in-flight disk work so byte accounting is final.
-  template <typename Abort>
-  void quiesce(SimTime deadline, Abort&& abort) {
-    engine_.runUntil(deadline);
-    abort();
-    engine_.run();
-  }
-
  private:
   sim::Engine engine_;
   std::optional<trace::FlightRecorder> recorder_;
@@ -108,6 +100,50 @@ class Stack {
   std::optional<repair::RepairService> repair_;
   std::vector<std::uint32_t> roster_;
   std::optional<fault::FaultInjector> injector_;
+};
+
+/// Closed-loop readers on one stack. Each of `schemes.size()` clients
+/// reads `accesses` times through its scheme, the clients starting
+/// `stagger` apart; a client thinks `think` between accesses and asks
+/// `begin` again `retry` after a refusal. At `deadline` no access starts
+/// any more: every session that has begun, current or retired, is
+/// aborted (so no watchdog or retry chain outlives the run), then
+/// in-flight disk work drains so byte accounting is final.
+///
+/// A finished access has its queued work cancelled and is shown to
+/// `end`. If its client reads again, its session is retired: kept alive
+/// while in-service disk requests still settle against it, and reaped
+/// once drained if `end` collected it. Every access `end` did not
+/// collect goes to `collect` after the drain, in (client, access) order.
+///
+/// The loop draws no number; its only events are the start storm, the
+/// think and retry timers, and what the schemes schedule.
+struct ClientLoop {
+  /// One access of one client, as the hooks see it.
+  struct Access {
+    std::uint32_t client;
+    std::uint32_t index;  // the client's access number
+    client::Scheme::Session& session;
+  };
+
+  /// The scheme client i reads through; one per client.
+  std::vector<client::Scheme*> schemes{};
+  client::AccessConfig access{};
+  std::uint32_t accesses = 1;  // per client
+  SimTime stagger = 0.0;
+  SimTime think = 0.0;
+  SimTime retry = 0.0;
+  SimTime deadline = 0.0;
+  /// The file the access reads, or null to ask again after `retry`. May
+  /// set the session's stream (a fresh session has none, so beginRead
+  /// draws one).
+  std::function<client::StoredFile*(const Access&)> begin{};
+  /// Sees each finished access; returns whether it collected it.
+  std::function<bool(const Access&)> end{};
+  /// Runs after the drain for every access `end` did not collect.
+  std::function<void(const Access&)> collect{};
+
+  void run(Stack& stack) const;
 };
 
 }  // namespace robustore::core

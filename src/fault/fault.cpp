@@ -4,20 +4,6 @@
 
 namespace robustore::fault {
 
-const char* faultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kFailStop:
-      return "fail-stop";
-    case FaultKind::kCrashRecover:
-      return "crash-recover";
-    case FaultKind::kTransientStall:
-      return "transient-stall";
-    case FaultKind::kSlowDisk:
-      return "slow-disk";
-  }
-  return "?";
-}
-
 void FaultInjector::schedule(const FaultSpec& spec) {
   ROBUSTORE_EXPECTS(spec.at >= 0.0, "fault scheduled in the past");
   ++scheduled_;

@@ -24,8 +24,6 @@ enum class FaultKind : std::uint8_t {
   kSlowDisk,        // service times x `service_multiplier` from `at` on
 };
 
-[[nodiscard]] const char* faultKindName(FaultKind kind);
-
 /// One scripted fault against one disk.
 struct FaultSpec {
   /// Target disk. Interpreted by the scheduling caller: the experiment

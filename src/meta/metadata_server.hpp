@@ -158,7 +158,6 @@ class MetadataServer {
   [[nodiscard]] bool exists(const std::string& name) const {
     return files_.contains(name);
   }
-  [[nodiscard]] std::size_t openHandles() const { return handles_.size(); }
 
  private:
   struct Handle {

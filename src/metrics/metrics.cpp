@@ -17,7 +17,6 @@ void AccessAggregate::merge(const AccessAggregate& other) {
   for (std::size_t i = 0; i < trace::kNumStages; ++i) {
     stage_hist_[i].merge(other.stage_hist_[i]);
   }
-  latency_hist_.merge(other.latency_hist_);
   stage_hist_count_ += other.stage_hist_count_;
 }
 
@@ -50,7 +49,6 @@ void AccessAggregate::add(const AccessMetrics& m) {
     for (std::size_t i = 0; i < trace::kNumStages; ++i) {
       stage_hist_[i].record(m.stages.seconds[i]);
     }
-    latency_hist_.record(m.latency);
     ++stage_hist_count_;
   }
 }

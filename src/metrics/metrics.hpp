@@ -117,22 +117,14 @@ class AccessAggregate {
   }
 
   /// Per-stage latency *distributions* (not just means): one quantile
-  /// histogram per stage plus one for end-to-end latency, populated only
-  /// for completed accesses that carried a stage breakdown (i.e. traced
-  /// or flight-recorded runs) — untraced aggregates keep them empty so
-  /// report output is unchanged.
+  /// histogram per stage, populated only for completed accesses that
+  /// carried a stage breakdown (i.e. traced or flight-recorded runs) —
+  /// untraced aggregates keep them empty so report output is unchanged.
   [[nodiscard]] bool stageQuantilesRecorded() const {
     return stage_hist_count_ > 0;
   }
   [[nodiscard]] double stageQuantile(trace::Stage stage, double p) const {
     return stage_hist_[static_cast<std::size_t>(stage)].quantile(p);
-  }
-  [[nodiscard]] const telemetry::QuantileHistogram& stageHistogram(
-      trace::Stage stage) const {
-    return stage_hist_[static_cast<std::size_t>(stage)];
-  }
-  [[nodiscard]] const telemetry::QuantileHistogram& latencyHistogram() const {
-    return latency_hist_;
   }
 
  private:
@@ -147,7 +139,6 @@ class AccessAggregate {
   RunningStats time_lost_;
   trace::StageBreakdown stages_;
   telemetry::QuantileHistogram stage_hist_[trace::kNumStages];
-  telemetry::QuantileHistogram latency_hist_;
   std::size_t stage_hist_count_ = 0;
   std::size_t incomplete_ = 0;
 };

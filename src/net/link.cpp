@@ -22,8 +22,6 @@ SimTime Link::reserveSendFrom(SimTime earliest, Bytes bytes) {
   const SimTime xfer =
       bandwidth_ > 0 ? static_cast<double>(bytes) / bandwidth_ : 0.0;
   busy_until_ = start + xfer;
-  // Counted here only: the traced overload delegates to this one.
-  bytes_sent_ += bytes;
   return busy_until_ + oneWayLatency();
 }
 

@@ -21,7 +21,6 @@ class Link {
   Link(sim::Engine& engine, SimTime round_trip, double bandwidth = 0.0);
 
   [[nodiscard]] SimTime oneWayLatency() const { return rtt_ / 2; }
-  [[nodiscard]] SimTime roundTrip() const { return rtt_; }
 
   /// Reserves the serialisation point for `bytes` starting no earlier than
   /// now, and returns the absolute time the payload fully arrives at the
@@ -49,9 +48,6 @@ class Link {
   /// report 0 — nothing ever waits on them. Telemetry probe.
   [[nodiscard]] Bytes inFlightBytes() const;
 
-  /// Cumulative payload bytes ever reserved through this link.
-  [[nodiscard]] Bytes bytesSent() const { return bytes_sent_; }
-
   /// Attaches a tracer and the display track this link's transfers render
   /// on (null tracer = tracing off, the default).
   void setTrace(trace::Tracer* tracer, std::uint32_t track) {
@@ -64,7 +60,6 @@ class Link {
   SimTime rtt_;
   double bandwidth_;
   SimTime busy_until_ = 0.0;
-  Bytes bytes_sent_ = 0;
   trace::Tracer* tracer_ = nullptr;
   std::uint32_t track_ = 0;
 };

@@ -10,18 +10,6 @@
 
 namespace robustore::repair {
 
-const char* redundancyClassName(RedundancyClass klass) {
-  switch (klass) {
-    case RedundancyClass::kReplication:
-      return "replication";
-    case RedundancyClass::kMds:
-      return "mds";
-    case RedundancyClass::kLt:
-      return "lt";
-  }
-  return "?";
-}
-
 RepairService::RepairService(client::Cluster& cluster, RepairConfig config)
     : cluster_(&cluster),
       config_(config),

@@ -18,8 +18,6 @@ enum class RedundancyClass : std::uint8_t {
   kLt,           // decodability decided by the file's real LT graph
 };
 
-[[nodiscard]] const char* redundancyClassName(RedundancyClass klass);
-
 /// Per-file repair policy.
 struct RepairPolicy {
   RedundancyClass klass = RedundancyClass::kMds;

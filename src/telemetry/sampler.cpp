@@ -46,7 +46,6 @@ void PeriodicSampler::sampleNow(SimTime at) {
 
 void PeriodicSampler::sampleAt(SimTime at) {
   last_sampled_ = at;
-  ++samples_;
   for (Entry& e : entries_) {
     const double value = e.probe(at);
     e.series->add(at, value);

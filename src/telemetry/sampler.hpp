@@ -55,7 +55,6 @@ class PeriodicSampler {
   void sampleNow(SimTime at);
 
   [[nodiscard]] SimTime dt() const { return dt_; }
-  [[nodiscard]] std::uint64_t samplesTaken() const { return samples_; }
 
  private:
   void sampleAt(SimTime at);
@@ -73,7 +72,6 @@ class PeriodicSampler {
   std::vector<Entry> entries_;
   SimTime next_ = 0.0;
   std::optional<SimTime> last_sampled_;
-  std::uint64_t samples_ = 0;
 };
 
 }  // namespace robustore::telemetry

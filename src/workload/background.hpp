@@ -50,7 +50,6 @@ class BackgroundGenerator {
 
   [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] const BackgroundConfig& config() const { return config_; }
-  void setConfig(const BackgroundConfig& config) { config_ = config; }
 
   /// Stream id used for this generator's requests.
   [[nodiscard]] disk::StreamId stream() const;

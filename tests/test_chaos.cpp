@@ -132,6 +132,34 @@ TEST(ChaosCampaign, InjectedBackoffBugIsCaughtAndShrunk) {
   EXPECT_EQ(replay_a.digest, replay_b.digest);
 }
 
+// The deadline ends the campaign for every access: one that has not
+// started by then never starts (not even in the post-deadline drain), and
+// the completion invariant names it.
+TEST(ChaosCampaign, NoAccessStartsAfterTheDeadline) {
+  CampaignPlan plan;
+  plan.seed = 7;
+  plan.scheme = client::SchemeKind::kRaid0;
+  plan.accesses = 3;
+  const CampaignResult full = runCampaign(plan);
+  ASSERT_TRUE(full.passed());
+  // Access 0 starts at t = 0, so its latency is its end time; access 1
+  // is due 50 ms of think time later, after the new deadline.
+  plan.deadline = full.observations.accesses[0].metrics.latency + 0.02;
+
+  const CampaignResult cut = runCampaign(plan);
+  const auto& accesses = cut.observations.accesses;
+  ASSERT_EQ(accesses.size(), 3u);
+  EXPECT_TRUE(accesses[0].complete);
+  EXPECT_FALSE(accesses[1].started);
+  EXPECT_FALSE(accesses[2].started);
+  std::set<std::string> completion;
+  for (const Violation& v : cut.violations) {
+    if (v.invariant == "completion") completion.insert(v.detail);
+  }
+  EXPECT_EQ(completion, (std::set<std::string>{"access 1 never started",
+                                               "access 2 never started"}));
+}
+
 TEST(ChaosShrink, EmptyScheduleShortCircuits) {
   CampaignPlan plan = planFromSeed(1);
   const ShrinkResult shrunk =
