@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "coding/block_pool.hpp"
 #include "common/expects.hpp"
 
 namespace robustore::client {
@@ -46,11 +47,11 @@ class LtAdapter final : public DecoderAdapter {
 
 /// Streaming data plane: the same peeling schedule as LtAdapter, run over
 /// real bytes. Each simulated arrival synthesizes the block's payload into
-/// an uninitialised buffer (encodeBlock writes every byte) and hands it to
-/// the data-mode decoder immediately, which keeps it as the waiting block
-/// or the original it resolves, interleaving all decode work with transfer
-/// completions. Completion is decided by the identical peeling process,
-/// so swapping this in changes no simulated behavior.
+/// an uninitialised pool buffer (encodeBlock writes every byte) and hands
+/// it to the data-mode decoder immediately, which keeps it as the waiting
+/// block or the original it resolves, interleaving all decode work with
+/// transfer completions. Completion is decided by the identical peeling
+/// process, so swapping this in changes no simulated behavior.
 class LtStreamAdapter final : public DecoderAdapter {
  public:
   LtStreamAdapter(const coding::LtGraph& graph,
@@ -60,8 +61,7 @@ class LtStreamAdapter final : public DecoderAdapter {
         encoder_(&encoder),
         decoder_(graph, block_bytes) {}
   bool addSymbol(std::uint32_t id) override {
-    auto arrival =
-        std::make_unique_for_overwrite<std::uint8_t[]>(block_bytes_);
+    auto arrival = coding::acquireBlock(block_bytes_);
     encoder_->encodeBlock(id, std::span(arrival.get(), block_bytes_));
     return decoder_.addSymbol(id, std::move(arrival));
   }
@@ -202,7 +202,7 @@ void RobuStoreScheme::attachDataPlane(DataPlaneConfig config) {
 bool RobuStoreScheme::feedRead(ReadState& state, std::uint32_t coded,
                                Bytes block_bytes) {
   if (state.batch_data_plane && !state.decoder->complete()) {
-    auto arrival = std::make_unique_for_overwrite<std::uint8_t[]>(block_bytes);
+    auto arrival = coding::acquireBlock(block_bytes);
     state.encoder->encodeBlock(coded, std::span(arrival.get(), block_bytes));
     state.arrivals.emplace_back(coded, std::move(arrival));
   }

@@ -1,7 +1,6 @@
 #include "coding/lt_codec.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "coding/xor_kernel.hpp"
@@ -105,13 +104,13 @@ bool LtDecoder::ingest(std::uint32_t coded_id,
   remaining_[coded_id] = rem;
   if (rem == 0) return complete();
   // The bytes are kept from here on: adopt the caller's buffer when it
-  // offered one, else copy once into a fresh uninitialised buffer.
+  // offered one, else copy once into an uninitialised pool buffer.
   Buffer kept;
   if (block_size_ > 0) {
     if (owned != nullptr) {
       kept = std::move(*owned);
     } else {
-      kept = std::make_unique_for_overwrite<std::uint8_t[]>(block_size_);
+      kept = acquireBlock(block_size_);
       std::copy(payload.begin(), payload.end(), kept.get());
     }
   }

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "coding/block_pool.hpp"
 #include "coding/lt_graph.hpp"
 #include "common/units.hpp"
 
@@ -50,10 +50,17 @@ class LtEncoder {
 /// original's storage. There is no separate k × block_size output array,
 /// so recovered originals are read one at a time through block(), compared
 /// in place by dataEquals(), or gathered into one vector by takeData().
+///
+/// Every buffer comes from the thread's block pool (acquireBlock) and goes
+/// back to it however it is released: by the destructor, by takeData(),
+/// or because an arrival was already fully recovered or came after the
+/// decode completed. The next decode on that thread then reuses warm
+/// pages. A pool buffer is uninitialised; every byte is overwritten (by
+/// the one copy, or by the arrival's own encode) before it is read.
 class LtDecoder {
  public:
-  /// One block-sized buffer, uninitialised on allocation.
-  using Buffer = std::unique_ptr<std::uint8_t[]>;
+  /// One block-sized pool buffer, uninitialised on acquisition.
+  using Buffer = BlockBuffer;
 
   /// `watch_prefix` (default: all of k) selects how many leading original
   /// blocks the prefix counter tracks; composed codes (Raptor) use it to
@@ -69,15 +76,16 @@ class LtDecoder {
   /// resolves its original before addSymbol returns, and the ripple it
   /// triggers runs too, so feeding blocks as transfers complete
   /// interleaves all peeling work with I/O and leaves no decode batch for
-  /// the end of the read. The bytes are copied once, into a fresh buffer,
+  /// the end of the read. The bytes are copied once, into a pool buffer,
   /// only when they must be kept (the block resolves or has to wait); a
   /// block that arrives fully recovered is dropped without a copy.
   bool addSymbol(std::uint32_t coded_id,
                  std::span<const std::uint8_t> payload = {});
 
-  /// Move-in variant for arrivals that own a block_size buffer: the
-  /// decoder adopts it (as the waiting block, or as the original it
-  /// resolves) and never copies the bytes.
+  /// Move-in variant for arrivals that own a block_size buffer
+  /// (acquireBlock(block_size)): the decoder adopts it (as the waiting
+  /// block, or as the original it resolves) and never copies the bytes;
+  /// a buffer it does not adopt stays with the caller.
   bool addSymbol(std::uint32_t coded_id, Buffer&& payload);
 
   [[nodiscard]] bool complete() const { return recovered_count_ == graph_->k(); }

@@ -148,6 +148,9 @@ MultiClientResult MultiClientExperiment::run() {
     return campaign;
   };
   loop.collect = [&](const ClientLoop::Access& a) {
+    // A campaign counts the accesses that ran; the legacy single access
+    // keeps counting a client that never got to start as incomplete.
+    if (campaign && !a.begun) return;
     result.accesses.add(clients[a.client].scheme->collect(
         a.session, config_.access.dataBytes(), config_.access.k));
   };

@@ -66,9 +66,12 @@ struct MultiClientConfig {
 };
 
 struct MultiClientResult {
-  /// Per-access metrics over the client population (one entry per
+  /// Per-access metrics over the client population: one entry per
   /// finished access, plus one incomplete entry per client whose latest
-  /// access the deadline caught mid-flight or before it started).
+  /// access the deadline caught mid-flight. A campaign adds nothing for
+  /// an access that never started (its client still thinking or refused
+  /// admission); the single-access experiment adds an incomplete entry
+  /// for it, as it always has.
   metrics::AccessAggregate accesses;
   /// Total useful bytes over the makespan (first arrival to last
   /// completion) — the system-throughput view of §5.4.

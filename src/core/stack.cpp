@@ -79,7 +79,7 @@ void ClientLoop::run(Stack& stack) const {
   std::vector<Slot> retired;
   bool over = false;
   const auto view = [](const Slot& s) {
-    return Access{s.client, s.index, *s.session};
+    return Access{s.client, s.index, *s.session, s.begun};
   };
 
   std::function<void(std::uint32_t)> start;

@@ -124,6 +124,9 @@ struct ClientLoop {
     std::uint32_t client;
     std::uint32_t index;  // the client's access number
     client::Scheme::Session& session;
+    /// False if the deadline came before the access started: its client
+    /// was still thinking, or `begin` was still refusing it.
+    bool begun;
   };
 
   /// The scheme client i reads through; one per client.
@@ -140,7 +143,8 @@ struct ClientLoop {
   std::function<client::StoredFile*(const Access&)> begin{};
   /// Sees each finished access; returns whether it collected it.
   std::function<bool(const Access&)> end{};
-  /// Runs after the drain for every access `end` did not collect.
+  /// Runs after the drain for every access `end` did not collect, begun
+  /// or not.
   std::function<void(const Access&)> collect{};
 
   void run(Stack& stack) const;

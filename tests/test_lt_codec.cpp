@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "coding/xor_kernel.hpp"
@@ -18,11 +17,11 @@ std::vector<std::uint8_t> randomData(std::size_t n, Rng& rng) {
   return v;
 }
 
-/// Encodes coded block `c` into a fresh uninitialised buffer, the way a
+/// Encodes coded block `c` into an uninitialised pool buffer, the way a
 /// streaming arrival owns its payload.
 LtDecoder::Buffer encodeArrival(const LtEncoder& encoder, std::uint32_t c,
                                 Bytes block) {
-  auto arrival = std::make_unique_for_overwrite<std::uint8_t[]>(block);
+  auto arrival = acquireBlock(block);
   encoder.encodeBlock(c, std::span(arrival.get(), block));
   return arrival;
 }

@@ -115,6 +115,35 @@ TEST(MultiClient, CampaignDeadlineBoundsTheRun) {
   EXPECT_LE(result.accesses.trials(), result.accesses_completed + 4);
 }
 
+TEST(MultiClient, CampaignCountsNoAccessThatNeverStarted) {
+  // At the deadline every client is thinking after its first access, and
+  // its second never begins: no incomplete entry stands for it.
+  auto cfg = smallConfig();
+  cfg.accesses_per_client = 3;
+  cfg.think_time = 1000.0;
+  cfg.run_deadline = 50.0;
+  MultiClientExperiment thinking(cfg);
+  const auto after_think = thinking.run();
+  EXPECT_EQ(after_think.accesses_completed, 4u);
+  EXPECT_EQ(after_think.accesses.trials(), 4u);
+  EXPECT_EQ(after_think.accesses.incompleteCount(), 0u);
+
+  // Eight clients want 8 of 16 disks at one stream per disk, and a grant
+  // of 4 is kept, so at most four run at once: the deadline catches at
+  // most four in flight. The refused ones never began and add nothing.
+  cfg = smallConfig();
+  cfg.num_clients = 8;
+  cfg.disks_per_access = 8;
+  cfg.admission.enabled = true;
+  cfg.admission.max_streams_per_disk = 1;
+  cfg.accesses_per_client = 2;
+  cfg.run_deadline = 0.2;
+  MultiClientExperiment refusing(cfg);
+  const auto refused = refusing.run();
+  EXPECT_GT(refused.admission_refusals, 0u);
+  EXPECT_LE(refused.accesses.incompleteCount(), 4u);
+}
+
 TEST(MultiClient, DeadlineTruncationQuiescesReissueChains) {
   // A campaign cut off with watchdog reissues in flight must settle at
   // the deadline: before sessions were aborted there, the post-deadline
