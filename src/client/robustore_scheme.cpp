@@ -271,7 +271,7 @@ void RobuStoreScheme::startRead(Session& session, StoredFile& file,
       // ends the access the moment the last live request settles. With
       // heal-on-read the loss is additionally remembered so a winning
       // decode can re-encode it onto a healthy disk.
-      std::function<void()> on_lost;
+      TrackedRead::LostFn on_lost;
       if (config.heal_on_read) {
         on_lost = [state, p, coded] { state->lost.emplace_back(p, coded); };
       }

@@ -25,12 +25,11 @@ struct RRaidScheme::AdaptiveReadState {
   std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> pos_to_block;
   /// Per placement: block id -> stored_pos (membership lookup for steals).
   std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> block_to_pos;
-  /// Per placement: requests pending delivery, by stored position. Weak:
-  /// each request's callbacks hold this state, so strong handles would
-  /// form a cycle that leaks whenever an access ends with requests still
-  /// listed (a disk holding several copies of one block, a timeout).
-  std::vector<std::map<std::uint32_t, std::weak_ptr<Scheme::TrackedRead>>>
-      pending;
+  /// Per placement: requests pending delivery, by stored position. The
+  /// handles stop resolving once a request settles, so entries left
+  /// listed when an access ends (a disk holding several copies of one
+  /// block, a timeout) cancel nothing.
+  std::vector<std::map<std::uint32_t, Scheme::TrackedHandle>> pending;
   /// Per placement: stored position of the last request issued, for
   /// physical-contiguity tracking (-1 = none).
   std::vector<std::int64_t> last_requested;
@@ -94,7 +93,7 @@ void RRaidScheme::startSpeculativeRead(Session& session, StoredFile& file,
       // already in flight, and the base fail-fast rule catches the case
       // where every copy of some block died. Heal-on-read additionally
       // remembers the loss so a completing access restores the replica.
-      std::function<void()> on_lost;
+      TrackedRead::LostFn on_lost;
       if (config.heal_on_read) {
         on_lost = [state, p, block] { state->lost.emplace_back(p, block); };
       }
@@ -242,7 +241,7 @@ void RRaidScheme::adaptiveSteal(Session& session, StoredFile& file,
     const auto block = state->pos_to_block[victim].at(victim_pos);
     auto it = state->pending[victim].find(victim_pos);
     if (it != state->pending[victim].end()) {
-      cancelTracked(session, it->second.lock());
+      cancelTracked(session, it->second);
       state->pending[victim].erase(it);
     }
     adaptiveRequest(session, file, config, idle_placement,

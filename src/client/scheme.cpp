@@ -166,13 +166,10 @@ void Scheme::abortRead(Session& session) {
       fr->endAccess(session.stream, session.finish_time, /*complete=*/false);
     }
   }
-  for (const auto& weak : session.tracked_reads) {
-    // A dead weak_ptr is a settled read whose callbacks all fired.
-    if (const TrackedHandle tracked = weak.lock()) {
-      cancelTracked(session, tracked);
-    }
+  // Each cancel settles the read, which drops it from the list.
+  while (!session.tracked_reads.empty()) {
+    cancelTracked(session, session.tracked_reads.back());
   }
-  session.tracked_reads.clear();
   cancelOutstanding(session);
   ROBUSTORE_EXPECTS(session.live_requests == 0,
                     "aborted session still has live requests");
@@ -234,106 +231,122 @@ server::StorageServer::ReadHandle Scheme::issueBlockRead(
 Scheme::TrackedHandle Scheme::issueTrackedRead(
     Session& session, StoredFile& file, std::uint32_t placement,
     std::uint32_t stored_pos, bool force_position, const AccessConfig& config,
-    server::StorageServer::DeliveryFn on_delivered,
-    std::function<void()> on_lost) {
-  auto tracked = std::make_shared<TrackedRead>();
-  tracked->file = &file;
-  tracked->placement = placement;
-  tracked->stored_pos = stored_pos;
-  tracked->force_position = force_position;
-  tracked->on_delivered = std::move(on_delivered);
-  tracked->on_lost = std::move(on_lost);
+    TrackedRead::DeliveryFn on_delivered, TrackedRead::LostFn on_lost) {
+  const TrackedHandle th = tracked_.acquire();
+  TrackedRead& tracked = tracked_[th];
+  tracked.session = &session;
+  tracked.config = &config;
+  tracked.file = &file;
+  tracked.placement = placement;
+  tracked.stored_pos = stored_pos;
+  tracked.force_position = force_position;
+  tracked.live_index = static_cast<std::uint32_t>(session.tracked_reads.size());
+  tracked.on_delivered = std::move(on_delivered);
+  tracked.on_lost = std::move(on_lost);
   ++session.live_requests;
-  session.tracked_reads.push_back(tracked);
-  issueTrackedAttempt(session, tracked, config);
-  return tracked;
+  session.tracked_reads.push_back(th);
+  issueTrackedAttempt(th);
+  return th;
 }
 
-void Scheme::issueTrackedAttempt(Session& session, const TrackedHandle& tracked,
-                                 const AccessConfig& config) {
-  ++tracked->attempts;
-  tracked->attempt_start = engine().now();
-  tracked->handle = issueBlockRead(
-      session, *tracked->file, tracked->placement, tracked->stored_pos,
-      tracked->force_position,
-      [this, &session, tracked](bool cache_hit) {
-        if (tracked->settled) return;
-        settleTracked(session, tracked);
-        // Arrivals after completion (or during a failed access's drain)
-        // stay pure byte accounting; the scheme never sees them.
-        if (session.complete || session.failed) return;
-        if (tracked->file->isCorrupt(tracked->placement,
-                                     tracked->stored_pos)) {
-          // Checksum mismatch: the payload arrived but is unusable, and
-          // re-reading the same damaged copy (or its cache line) would
-          // deliver the same bytes — so the read is lost outright, and
-          // the scheme's on_lost hook decides what the loss means
-          // (redundancy, re-dispatch to another replica, heal).
-          ++session.corrupt_rejected;
-          if (auto* t = tracer(); t != nullptr) {
-            t->instant(
-                "client.block_corrupt", engine().now(), session.stream,
-                trace::kClientTrack,
-                tracked->file->placements[tracked->placement].global_disk,
-                tracked->stored_pos);
-          }
-          if (tracked->on_lost) tracked->on_lost();
-          checkFailFast(session);
-          return;
-        }
-        if (tracked->on_delivered) tracked->on_delivered(cache_hit);
-        checkFailFast(session);
-      },
-      [this, &session, tracked, &config] {
-        if (tracked->settled) return;
-        onTrackedAttemptLost(session, tracked, config,
-                             /*from_watchdog=*/false);
+void Scheme::issueTrackedAttempt(TrackedHandle th) {
+  TrackedRead& tracked = tracked_[th];
+  ++tracked.attempts;
+  tracked.attempt_start = engine().now();
+  tracked.handle = issueBlockRead(
+      *tracked.session, *tracked.file, tracked.placement, tracked.stored_pos,
+      tracked.force_position,
+      [this, th](bool cache_hit) { onTrackedDelivered(th, cache_hit); },
+      [this, th] {
+        if (tracked_.get(th) == nullptr) return;  // settled
+        onTrackedAttemptLost(th, /*from_watchdog=*/false);
       });
-  if (config.request_timeout > 0.0) {
-    tracked->watchdog = engine().schedule(
-        config.request_timeout, [this, &session, tracked, &config] {
-          tracked->watchdog = {};
-          if (tracked->settled || session.complete || session.failed) return;
-          // If the block already left the disk it will arrive shortly:
-          // cancelling is impossible, so re-issuing buys nothing.
-          server::StorageServer& srv = cluster_->serverOfDisk(
-              tracked->file->placements[tracked->placement].global_disk);
-          if (!srv.cancelRead(tracked->handle)) return;
-          onTrackedAttemptLost(session, tracked, config,
-                               /*from_watchdog=*/true);
-        });
+  if (tracked.config->request_timeout > 0.0) {
+    tracked.watchdog = engine().schedule(tracked.config->request_timeout,
+                                         [this, th] { onTrackedWatchdog(th); });
   }
 }
 
-void Scheme::onTrackedAttemptLost(Session& session,
-                                  const TrackedHandle& tracked,
-                                  const AccessConfig& config,
-                                  bool from_watchdog) {
+void Scheme::onTrackedDelivered(TrackedHandle th, bool cache_hit) {
+  TrackedRead* tracked = tracked_.get(th);
+  if (tracked == nullptr) return;  // settled: another attempt won
+  // Everything the scheme needs is moved out before the settle releases
+  // the record: the callbacks may issue new reads into the slab.
+  Session& session = *tracked->session;
+  const StoredFile& file = *tracked->file;
+  const std::uint32_t placement = tracked->placement;
+  const std::uint32_t stored_pos = tracked->stored_pos;
+  TrackedRead::DeliveryFn on_delivered = std::move(tracked->on_delivered);
+  TrackedRead::LostFn on_lost = std::move(tracked->on_lost);
+  settleTracked(th);
+  // Arrivals after completion (or during a failed access's drain) stay
+  // pure byte accounting; the scheme never sees them.
+  if (session.complete || session.failed) return;
+  if (file.isCorrupt(placement, stored_pos)) {
+    // Checksum mismatch: the payload arrived but is unusable, and
+    // re-reading the same damaged copy (or its cache line) would deliver
+    // the same bytes — so the read is lost outright, and the scheme's
+    // on_lost hook decides what the loss means (redundancy, re-dispatch
+    // to another replica, heal).
+    ++session.corrupt_rejected;
+    if (auto* t = tracer(); t != nullptr) {
+      t->instant("client.block_corrupt", engine().now(), session.stream,
+                 trace::kClientTrack, file.placements[placement].global_disk,
+                 stored_pos);
+    }
+    if (on_lost) on_lost();
+    checkFailFast(session);
+    return;
+  }
+  if (on_delivered) on_delivered(cache_hit);
+  checkFailFast(session);
+}
+
+void Scheme::onTrackedWatchdog(TrackedHandle th) {
+  TrackedRead* tracked = tracked_.get(th);
+  if (tracked == nullptr) return;
+  tracked->watchdog = {};
+  const Session& session = *tracked->session;
+  if (session.complete || session.failed) return;
+  // If the block already left the disk it will arrive shortly: cancelling
+  // is impossible, so re-issuing buys nothing.
+  server::StorageServer& srv = cluster_->serverOfDisk(
+      tracked->file->placements[tracked->placement].global_disk);
+  if (!srv.cancelRead(tracked->handle)) return;
+  onTrackedAttemptLost(th, /*from_watchdog=*/true);
+}
+
+void Scheme::onTrackedAttemptLost(TrackedHandle th, bool from_watchdog) {
+  TrackedRead& tracked = tracked_[th];
+  Session& session = *tracked.session;
+  const AccessConfig& config = *tracked.config;
   if (session.complete || session.failed) {
-    settleTracked(session, tracked);
+    settleTracked(th);
     return;
   }
   if (!from_watchdog) ++session.failures_observed;
-  session.time_lost_to_failures += engine().now() - tracked->attempt_start;
-  if (tracked->watchdog.valid()) {
-    engine().cancel(tracked->watchdog);
-    tracked->watchdog = {};
+  session.time_lost_to_failures += engine().now() - tracked.attempt_start;
+  if (tracked.watchdog.valid()) {
+    engine().cancel(tracked.watchdog);
+    tracked.watchdog = {};
   }
-  if (tracked->attempts > config.max_reissues) {
-    settleTracked(session, tracked);
+  const std::uint32_t global_disk =
+      tracked.file->placements[tracked.placement].global_disk;
+  const std::uint32_t stored_pos = tracked.stored_pos;
+  if (tracked.attempts > config.max_reissues) {
+    TrackedRead::LostFn on_lost = std::move(tracked.on_lost);
+    settleTracked(th);
     if (auto* t = tracer(); t != nullptr) {
       t->instant("client.block_lost", engine().now(), session.stream,
-                 trace::kClientTrack,
-                 tracked->file->placements[tracked->placement].global_disk,
-                 tracked->stored_pos);
+                 trace::kClientTrack, global_disk, stored_pos);
     }
-    if (tracked->on_lost) tracked->on_lost();
+    if (on_lost) on_lost();
     checkFailFast(session);
     return;
   }
   ++session.reissued_requests;
   // A re-issue never continues the old head position.
-  tracked->force_position = true;
+  tracked.force_position = true;
   // Watchdog expiries retry at once (the disk is slow, not dead); failure
   // notifications back off so a crash-recover window can pass — capped,
   // because over churn horizons the exponential otherwise outgrows every
@@ -343,48 +356,60 @@ void Scheme::onTrackedAttemptLost(Session& session,
                     : std::min(config.reissue_delay *
                                    std::pow(config.reissue_backoff,
                                             static_cast<double>(
-                                                tracked->attempts - 1)),
+                                                tracked.attempts - 1)),
                                config.max_reissue_delay);
   if (auto* t = tracer(); t != nullptr) {
     t->span(trace::Stage::kClientReissue, engine().now(),
             engine().now() + delay, session.stream, trace::kClientTrack,
-            tracked->file->placements[tracked->placement].global_disk,
-            tracked->stored_pos);
+            global_disk, stored_pos);
   }
-  tracked->retry =
-      engine().schedule(delay, [this, &session, tracked, &config] {
-        tracked->retry = {};
-        if (tracked->settled || session.complete || session.failed) return;
-        issueTrackedAttempt(session, tracked, config);
-      });
+  tracked.retry = engine().schedule(delay, [this, th] {
+    TrackedRead* retrying = tracked_.get(th);
+    if (retrying == nullptr) return;
+    retrying->retry = {};
+    const Session& s = *retrying->session;
+    if (s.complete || s.failed) {
+      // The access ended during the backoff: no attempt is in flight, so
+      // nothing else would ever settle this read.
+      settleTracked(th);
+      return;
+    }
+    issueTrackedAttempt(th);
+  });
 }
 
-void Scheme::settleTracked(Session& session, const TrackedHandle& tracked) {
-  if (tracked->settled) return;
-  tracked->settled = true;
-  if (tracked->watchdog.valid()) {
-    engine().cancel(tracked->watchdog);
-    tracked->watchdog = {};
+void Scheme::settleTracked(TrackedHandle th) {
+  TrackedRead& tracked = tracked_[th];
+  if (tracked.watchdog.valid()) {
+    engine().cancel(tracked.watchdog);
+    tracked.watchdog = {};
   }
-  if (tracked->retry.valid()) {
-    engine().cancel(tracked->retry);
-    tracked->retry = {};
+  if (tracked.retry.valid()) {
+    engine().cancel(tracked.retry);
+    tracked.retry = {};
   }
+  Session& session = *tracked.session;
   ROBUSTORE_EXPECTS(session.live_requests > 0, "tracked read settled twice");
   --session.live_requests;
-  ROBUSTORE_CHECKED_EXPECTS(!tracked->watchdog.valid() &&
-                                !tracked->retry.valid(),
+  ROBUSTORE_CHECKED_EXPECTS(!tracked.watchdog.valid() && !tracked.retry.valid(),
                             "settled read left a timer event armed");
+  const TrackedHandle last = session.tracked_reads.back();
+  session.tracked_reads[tracked.live_index] = last;
+  tracked_[last].live_index = tracked.live_index;
+  session.tracked_reads.pop_back();
+  tracked_.release(th);
 }
 
-void Scheme::cancelTracked(Session& session, const TrackedHandle& tracked) {
-  if (tracked == nullptr || tracked->settled) return;
-  settleTracked(session, tracked);
-  if (tracked->handle != nullptr) {
-    server::StorageServer& srv = cluster_->serverOfDisk(
-        tracked->file->placements[tracked->placement].global_disk);
-    srv.cancelRead(tracked->handle);
-  }
+void Scheme::cancelTracked(Session& session, TrackedHandle th) {
+  const TrackedRead* tracked = tracked_.get(th);
+  if (tracked == nullptr) return;  // settled already
+  ROBUSTORE_EXPECTS(tracked->session == &session,
+                    "tracked read cancelled through another session");
+  const server::StorageServer::ReadHandle handle = tracked->handle;
+  server::StorageServer& srv = cluster_->serverOfDisk(
+      tracked->file->placements[tracked->placement].global_disk);
+  settleTracked(th);
+  if (handle.valid()) srv.cancelRead(handle);
 }
 
 metrics::AccessMetrics Scheme::read(StoredFile& file,
@@ -453,9 +478,26 @@ metrics::AccessMetrics Scheme::settle(Session& session, Bytes data_bytes,
   cancelOutstanding(session);
   cluster_->stopBackground();
   engine().run();
+  auditDrained();
   cluster_->resetDisks();
   active_session_ = nullptr;  // the session dies with the caller's frame
   return collect(session, data_bytes, k);
+}
+
+void Scheme::auditDrained() {
+#ifdef ROBUSTORE_CHECKED
+  for (std::uint32_t s = 0; s < cluster_->numServers(); ++s) {
+    server::StorageServer& srv = cluster_->server(s);
+    ROBUSTORE_EXPECTS(srv.liveReadCount() == 0 && srv.liveWriteCount() == 0,
+                      "drained server still holds request records");
+    for (std::uint32_t d = 0; d < srv.numDisks(); ++d) {
+      ROBUSTORE_EXPECTS(srv.disk(d).liveRequestCount() == 0,
+                        "drained disk still holds request slots");
+    }
+  }
+  ROBUSTORE_EXPECTS(tracked_.live() == 0,
+                    "drained scheme still holds tracked reads");
+#endif
 }
 
 std::unique_ptr<Scheme> makeScheme(SchemeKind kind, Cluster& cluster,

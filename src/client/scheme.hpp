@@ -14,6 +14,8 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "metrics/metrics.hpp"
+#include "sim/slab.hpp"
+#include "sim/small_fn.hpp"
 
 namespace robustore::client {
 
@@ -120,6 +122,7 @@ class Scheme {
                                              StoredFile* out = nullptr);
 
   struct TrackedRead;
+  using TrackedHandle = sim::SlabHandle<TrackedRead>;
 
   /// Mutable state of the access in flight; subclasses update the
   /// counters from their delivery callbacks and call finish() exactly
@@ -164,10 +167,10 @@ class Scheme {
     /// the byte base scopes the network ledger to this access when a
     /// campaign reuses one stream id across a client's accesses.
     std::vector<std::pair<std::uint32_t, Bytes>> servers_used;
-    /// Every tracked read this access ever issued (weak: settled reads
-    /// whose callbacks all fired are gone). abortRead() walks this to
-    /// quiesce the access deterministically at a run deadline.
-    std::vector<std::weak_ptr<TrackedRead>> tracked_reads;
+    /// The tracked reads of this access still live (a read leaves when
+    /// it settles). abortRead() walks this to quiesce the access
+    /// deterministically at a run deadline.
+    std::vector<TrackedHandle> tracked_reads;
   };
 
   /// One failure-aware block read: the scheme's unit of re-issue. The
@@ -177,22 +180,35 @@ class Scheme {
   /// exhausted the scheme's on_lost hook decides what the loss means —
   /// fatal (RAID-0), ignorable (coded/replicated redundancy), or
   /// re-routable (RRAID-A re-dispatches to another replica).
+  ///
+  /// Tracked reads live in a per-scheme slab from issue until they settle
+  /// (delivered, lost, or cancelled); settling releases the record and
+  /// its callbacks. Server callbacks and timer events hold only the
+  /// generation-tagged handle, so whatever fires after the read settled
+  /// (a second attempt landing, a cancelled in-service read delivering)
+  /// resolves to nothing.
   struct TrackedRead {
+    /// Captures up to 64 bytes stay inline: the schemes' callbacks hold
+    /// `this`, a shared state pointer and a few references and indices.
+    using DeliveryFn = sim::SmallFn<void(bool cache_hit), 64>;
+    using LostFn = sim::SmallFn<void(), 64>;
+
+    Session* session = nullptr;
+    const AccessConfig* config = nullptr;
     StoredFile* file = nullptr;
     std::uint32_t placement = 0;
     std::uint32_t stored_pos = 0;
-    bool force_position = false;
     std::uint32_t attempts = 0;
-    /// Delivered, lost, or cancelled: no further callbacks will fire.
-    bool settled = false;
+    /// Position in session->tracked_reads.
+    std::uint32_t live_index = 0;
+    bool force_position = false;
     SimTime attempt_start = 0.0;
     server::StorageServer::ReadHandle handle;
     sim::EventId watchdog{};
     sim::EventId retry{};
-    server::StorageServer::DeliveryFn on_delivered;
-    std::function<void()> on_lost;
+    DeliveryFn on_delivered;
+    LostFn on_lost;
   };
-  using TrackedHandle = std::shared_ptr<TrackedRead>;
 
   /// Asynchronous entry point: issues the access on the shared engine
   /// without running it. The caller owns session/file/config lifetimes
@@ -217,6 +233,19 @@ class Scheme {
   /// sessions too: it releases their leftover speculative-tail events so
   /// a post-deadline drain doesn't run out to far-future watchdogs.
   void abortRead(Session& session);
+
+  /// Tracked reads not yet settled, across every session of this scheme
+  /// (zero once the engine has drained).
+  [[nodiscard]] std::size_t liveTrackedReads() const {
+    return tracked_.live();
+  }
+
+  /// Quiescence ledger, audited under ROBUSTORE_CHECKED (a no-op
+  /// otherwise) once a driver has drained the engine: no server holds a
+  /// read or write record, no disk a request slot, and this scheme no
+  /// tracked read. A record that outlives its request pins its callbacks
+  /// and grows the slabs without bound.
+  void auditDrained();
 
   /// Extracts the paper metrics from a finished (or timed-out) session.
   /// Byte accounting is only final after in-flight work drained.
@@ -285,19 +314,21 @@ class Scheme {
   /// fires at most once, on the attempt that succeeds; `on_lost` fires at
   /// most once, when max_reissues attempts are exhausted. When the last
   /// live tracked read settles without the access being complete, the
-  /// session fails fast.
+  /// session fails fast. `session`, `file` and `config` must outlive the
+  /// read.
   TrackedHandle issueTrackedRead(Session& session, StoredFile& file,
                                  std::uint32_t placement,
                                  std::uint32_t stored_pos,
                                  bool force_position,
                                  const AccessConfig& config,
-                                 server::StorageServer::DeliveryFn on_delivered,
-                                 std::function<void()> on_lost = nullptr);
+                                 TrackedRead::DeliveryFn on_delivered,
+                                 TrackedRead::LostFn on_lost = nullptr);
 
-  /// Cancels a tracked read (watchdog, pending retry, queued disk work).
-  /// Does NOT run the fail-fast check: callers that re-target a block
-  /// (RRAID-A stealing) cancel and re-issue in one step.
-  void cancelTracked(Session& session, const TrackedHandle& tracked);
+  /// Cancels a tracked read (watchdog, pending retry, queued disk work);
+  /// no-op once it settled. Does NOT run the fail-fast check: callers
+  /// that re-target a block (RRAID-A stealing) cancel and re-issue in one
+  /// step.
+  void cancelTracked(Session& session, TrackedHandle tracked);
 
   /// Records the disk's server in `session.servers_used` (first touch
   /// snapshots the stream's byte counter). Every site that hands the
@@ -332,18 +363,24 @@ class Scheme {
   metrics::AccessMetrics settle(Session& session, Bytes data_bytes,
                                 std::uint32_t k);
   /// Issues (or re-issues) the underlying block read of a tracked read.
-  void issueTrackedAttempt(Session& session, const TrackedHandle& tracked,
-                           const AccessConfig& config);
+  void issueTrackedAttempt(TrackedHandle tracked);
+  /// An attempt's block arrived: settles the read and hands the block to
+  /// the scheme (or, if its checksum fails, reports it lost).
+  void onTrackedDelivered(TrackedHandle tracked, bool cache_hit);
+  /// Watchdog expiry: cancel the attempt and re-issue, unless the block
+  /// already left the disk.
+  void onTrackedWatchdog(TrackedHandle tracked);
   /// Handles a lost attempt (disk failure or watchdog expiry): re-issue
   /// with backoff, or settle the read and fire on_lost.
-  void onTrackedAttemptLost(Session& session, const TrackedHandle& tracked,
-                            const AccessConfig& config, bool from_watchdog);
-  /// Marks the tracked read settled and releases its events.
-  void settleTracked(Session& session, const TrackedHandle& tracked);
+  void onTrackedAttemptLost(TrackedHandle tracked, bool from_watchdog);
+  /// Cancels the read's timer events, drops it from its session's live
+  /// list and releases its record (callbacks included).
+  void settleTracked(TrackedHandle tracked);
   /// Fails the session if nothing live can still complete it.
   void checkFailFast(Session& session);
 
   Cluster* cluster_;
+  sim::Slab<TrackedRead> tracked_;
   /// Synchronous-access observation pointer (see activeSession()): set
   /// for the duration of read()/write() including the post-access drain,
   /// cleared before they return.

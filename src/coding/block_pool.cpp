@@ -1,9 +1,35 @@
 #include "coding/block_pool.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <new>
 #include <vector>
 
 namespace robustore::coding {
 namespace {
+
+// Every block buffer is its own anonymous mapping, rounded up to whole
+// pages: page-aligned, and exactly size / page_size pages when the block
+// size is a page multiple. From malloc, a pooled buffer that is never
+// freed keeps glibc's mmap threshold low, so each one became a separate
+// mapping of one page more than its bytes (the chunk header) and its data
+// was only 16-byte aligned.
+Bytes mappedBytes(Bytes size) {
+  static const auto page = static_cast<Bytes>(sysconf(_SC_PAGESIZE));
+  return size == 0 ? page : (size + page - 1) / page * page;
+}
+
+std::uint8_t* mapBlock(Bytes size) {
+  void* p = mmap(nullptr, mappedBytes(size), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::uint8_t*>(p);
+}
+
+void unmapBlock(std::uint8_t* bytes, Bytes size) noexcept {
+  munmap(bytes, mappedBytes(size));
+}
 
 struct BlockPool;
 
@@ -22,7 +48,7 @@ struct BlockPool {
   BlockPool& operator=(const BlockPool&) = delete;
 
   void clear() {
-    for (std::uint8_t* bytes : free) delete[] bytes;
+    for (std::uint8_t* bytes : free) unmapBlock(bytes, size);
     free.clear();
   }
 
@@ -42,7 +68,7 @@ void BlockRelease::operator()(std::uint8_t* bytes) const noexcept {
       // No room to remember it: free it below.
     }
   }
-  delete[] bytes;
+  unmapBlock(bytes, size);
 }
 
 BlockBuffer acquireBlock(Bytes size) {
@@ -52,7 +78,7 @@ BlockBuffer acquireBlock(Bytes size) {
     pool.size = size;
   }
   if (pool.free.empty()) {
-    return BlockBuffer(new std::uint8_t[size], BlockRelease{size});
+    return BlockBuffer(mapBlock(size), BlockRelease{size});
   }
   std::uint8_t* bytes = pool.free.back();
   pool.free.pop_back();

@@ -22,6 +22,9 @@ using BlockBuffer = std::unique_ptr<std::uint8_t[], BlockRelease>;
 /// make_unique_for_overwrite: a buffer released earlier comes back with
 /// whatever it last held, so the caller overwrites every byte.
 ///
+/// Each buffer is its own anonymous mapping of whole pages, so it is
+/// page-aligned and occupies exactly ceil(size / page size) pages.
+///
 /// The pool keeps the buffers released on its thread, most recent first,
 /// so a decode reuses the pages of the previous one instead of faulting
 /// in fresh ones. It holds one block size at a time: asking for another

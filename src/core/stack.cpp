@@ -128,6 +128,7 @@ void ClientLoop::run(Stack& stack) const {
   }
   for (Slot& s : retired) schemes[s.client]->abortRead(*s.session);
   engine.run();
+  for (client::Scheme* scheme : schemes) scheme->auditDrained();
 
   std::vector<const Slot*> left;
   for (const auto* group : {&retired, &current}) {

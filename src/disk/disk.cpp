@@ -7,6 +7,18 @@
 #include "telemetry/host_profiler.hpp"
 
 namespace robustore::disk {
+namespace {
+
+/// The engine event that delivers one failure notice: the request's
+/// callback and its id, inline in the event (never on the heap).
+sim::Engine::Callback failureNotice(RequestId id, Disk::FailureFn fn) {
+  auto notice = [id, f = std::move(fn)]() mutable { f(id); };
+  static_assert(sizeof(notice) <= sim::Engine::Callback::kInlineBytes,
+                "a failure notice must fit the engine's inline buffer");
+  return notice;
+}
+
+}  // namespace
 
 Disk::Disk(sim::Engine& engine, const DiskParams& params, Rng rng,
            std::uint32_t id)
@@ -19,32 +31,7 @@ double Disk::mediaRate(double zone) const {
          zone * (params_.media_rate_max - params_.media_rate_min);
 }
 
-Disk::Request* Disk::resolve(RequestId id) {
-  if (id == kInvalidRequest) return nullptr;
-  const std::uint32_t slot = slotOf(id);
-  if (slot >= slots_.size()) return nullptr;
-  Request& r = slots_[slot];
-  if (r.generation != genOf(id)) return nullptr;
-  return &r;
-}
-
-const Disk::Request* Disk::resolve(RequestId id) const {
-  return const_cast<Disk*>(this)->resolve(id);
-}
-
-void Disk::release(RequestId id) {
-  const std::uint32_t slot = slotOf(id);
-  Request& r = slots_[slot];
-  ++r.generation;  // stale handles stop resolving
-  r.spec = DiskRequestSpec{};
-  r.done = nullptr;
-  r.on_failed = nullptr;
-  r.bytes = 0;
-  r.state = RequestState::kPending;
-  free_slots_.push_back(slot);
-}
-
-RequestId Disk::submit(DiskRequestSpec spec, CompletionFn done,
+RequestId Disk::submit(const DiskRequestSpec& spec, CompletionFn done,
                        FailureFn failed) {
   ROBUSTORE_EXPECTS(!spec.extents.empty(), "request without extents");
   ROBUSTORE_EXPECTS(spec.media_rate > 0, "request needs a media rate");
@@ -56,34 +43,42 @@ RequestId Disk::submit(DiskRequestSpec spec, CompletionFn done,
                        trace::diskTrack(id_), id_);
     }
     if (failed) {
-      engine_->schedule(0.0, [fn = std::move(failed)] { fn(kInvalidRequest); });
+      engine_->schedule(0.0, failureNotice(kInvalidRequest, std::move(failed)));
     }
     return kInvalidRequest;
   }
-  Bytes bytes = 0;
-  for (const auto& e : spec.extents) bytes += e.bytes;
-
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+  const RequestId id = requests_.acquire().value;
+  Request& r = request(id);
+  r.extents.assign(spec.extents.begin(), spec.extents.end());
+  if (spec.reposition_first) r.extents.front().continues_previous = false;
+  if (spec.max_bytes != 0) {
+    // Partial read: keep the leading `max_bytes` of the run chain.
+    Bytes remaining = spec.max_bytes;
+    std::size_t keep = 0;
+    for (auto& e : r.extents) {
+      if (remaining == 0) break;
+      if (e.bytes > remaining) e.bytes = remaining;
+      remaining -= e.bytes;
+      ++keep;
+    }
+    r.extents.resize(keep);
   }
-  Request& r = slots_[slot];
-  const RequestId id = makeId(slot, r.generation);
-  r.spec = std::move(spec);
+  Bytes bytes = 0;
+  for (const auto& e : r.extents) bytes += e.bytes;
   r.done = std::move(done);
   r.on_failed = std::move(failed);
+  r.stream = spec.stream;
+  r.media_rate = spec.media_rate;
+  r.seek_scale = spec.seek_scale;
   r.bytes = bytes;
+  r.priority = spec.priority;
   r.state = RequestState::kPending;
   if (tracer_ != nullptr) r.submitted = engine_->now();
-  if (r.spec.priority == Priority::kBackground) {
+  if (r.priority == Priority::kBackground) {
     bg_queue_.push_back(id);
   } else {
-    auto& q = fg_queues_[r.spec.stream];
-    if (q.empty()) fg_rotation_.push_back(r.spec.stream);
+    auto& q = streamQueue(r.stream);
+    if (q.empty()) fg_rotation_.push_back(r.stream);
     q.push_back(id);
   }
   if (!busy()) serveNext();
@@ -92,16 +87,16 @@ RequestId Disk::submit(DiskRequestSpec spec, CompletionFn done,
 
 void Disk::abortRequest(RequestId id,
                         std::vector<sim::Engine::BatchEvent>& aborts) {
-  Request& r = slots_[slotOf(id)];
+  Request& r = request(id);
   r.state = RequestState::kAborted;
   if (tracer_ != nullptr) {
-    tracer_->instant("fault.abort", engine_->now(), r.spec.stream,
+    tracer_->instant("fault.abort", engine_->now(), r.stream,
                      trace::diskTrack(id_), id_, id);
   }
   FailureFn fn = std::move(r.on_failed);
   release(id);  // the batched event is self-contained; reset() stays safe
   if (fn) {
-    aborts.push_back({0.0, [id, f = std::move(fn)] { f(id); }});
+    aborts.push_back({0.0, failureNotice(id, std::move(fn))});
   }
 }
 
@@ -121,10 +116,10 @@ void Disk::failStop() {
     // Refund the unserved remainder: service time was charged up front at
     // startService, but everything past now (or past the pending stall
     // window the request was parked behind) never happened.
-    Request& r = slots_[slotOf(in_service_)];
+    Request& r = request(in_service_);
     const SimTime unserved = std::max(
         0.0, service_end_ - std::max(engine_->now(), stalled_until_));
-    busy_time_[static_cast<std::size_t>(r.spec.priority)] -= unserved;
+    busy_time_[static_cast<std::size_t>(r.priority)] -= unserved;
     if (completion_event_.valid()) {
       engine_->cancel(completion_event_);
       completion_event_ = {};
@@ -140,7 +135,7 @@ void Disk::failStop() {
     auto it = fg_queues_.find(stream);
     if (it == fg_queues_.end()) continue;
     doomed.insert(doomed.end(), it->second.begin(), it->second.end());
-    fg_queues_.erase(it);
+    retireQueue(it);
   }
   fg_rotation_.clear();
   for (const RequestId id : doomed) {
@@ -217,7 +212,7 @@ std::size_t Disk::cancelStream(StreamId stream) {
     release(id);
     if (was_pending) {
       ++n;
-      if (fn) notices.push_back({0.0, [id, f = std::move(fn)] { f(id); }});
+      if (fn) notices.push_back({0.0, failureNotice(id, std::move(fn))});
     }
   };
   // Background requests of this stream: filter the live queue in place.
@@ -225,7 +220,7 @@ std::size_t Disk::cancelStream(StreamId stream) {
   for (const RequestId id : bg_queue_) {
     Request* r = resolve(id);
     if (r != nullptr && r->state == RequestState::kPending &&
-        r->spec.stream == stream) {
+        r->stream == stream) {
       reap(id, *r);
     } else {
       kept.push_back(id);
@@ -240,7 +235,7 @@ std::size_t Disk::cancelStream(StreamId stream) {
       if (r == nullptr) continue;
       reap(id, *r);
     }
-    fg_queues_.erase(it);
+    retireQueue(it);
   }
   if (!notices.empty()) engine_->scheduleBatch(notices);
   return n;
@@ -272,17 +267,33 @@ std::optional<RequestState> Disk::requestState(RequestId id) const {
 Bytes Disk::inServiceBytes(StreamId stream) const {
   const Request* r = resolve(in_service_);
   if (r == nullptr) return 0;
-  return r->spec.stream == stream ? r->bytes : 0;
+  return r->stream == stream ? r->bytes : 0;
 }
 
 void Disk::reset() {
   ROBUSTORE_EXPECTS(!busy(), "reset of a busy disk");
   ROBUSTORE_EXPECTS(queueDepth() == 0, "reset with queued requests");
-  slots_.clear();
-  free_slots_.clear();
+  requests_ = {};
   bg_queue_.clear();
   fg_queues_.clear();
+  spare_queues_.clear();
   fg_rotation_.clear();
+}
+
+std::deque<RequestId>& Disk::streamQueue(StreamId stream) {
+  if (auto it = fg_queues_.find(stream); it != fg_queues_.end()) {
+    return it->second;
+  }
+  if (spare_queues_.empty()) return fg_queues_[stream];
+  StreamQueues::node_type node = std::move(spare_queues_.back());
+  spare_queues_.pop_back();
+  node.key() = stream;
+  return fg_queues_.insert(std::move(node)).position->second;
+}
+
+void Disk::retireQueue(StreamQueues::iterator it) {
+  it->second.clear();
+  spare_queues_.push_back(fg_queues_.extract(it));
 }
 
 RequestId Disk::popLive(std::deque<RequestId>& queue) {
@@ -317,7 +328,7 @@ void Disk::serveNext() {
     if (it == fg_queues_.end()) continue;
     const RequestId id = popLive(it->second);
     if (it->second.empty()) {
-      fg_queues_.erase(it);
+      retireQueue(it);
     } else {
       fg_rotation_.push_back(stream);
     }
@@ -332,11 +343,11 @@ void Disk::startService(RequestId id) {
   const telemetry::HostProfiler::Scope profile(
       telemetry::HostScope::kDiskService);
   in_service_ = id;
-  Request& r = slots_[slotOf(id)];
+  Request& r = request(id);
   r.state = RequestState::kInService;
   const ServiceParts parts = serviceParts(r);
   const SimTime service = parts.total * service_multiplier_;
-  busy_time_[static_cast<std::size_t>(r.spec.priority)] += service;
+  busy_time_[static_cast<std::size_t>(r.priority)] += service;
   // A service that starts inside a stall window only begins once the
   // window ends; the wait is not charged as busy time.
   const SimTime start = std::max(engine_->now(), stalled_until_);
@@ -366,7 +377,7 @@ void Disk::traceCompletion(const Request& r, RequestId id) {
   const SimTime seek = r.parts.seek;
   const SimTime overhead = r.parts.overhead;
   SimTime t = end - transfer - rotate - seek - overhead;
-  const std::uint64_t access = r.spec.stream;
+  const std::uint64_t access = r.stream;
   const std::uint32_t track = trace::diskTrack(id_);
   tracer_->span(trace::Stage::kDiskQueueWait, r.submitted, r.service_start,
                 access, track, id_, id);
@@ -386,16 +397,16 @@ void Disk::scheduleCompletion() {
   completion_event_ =
       engine_->schedule(service_end_ - engine_->now(), [this, id] {
         completion_event_ = {};
-        Request& req = slots_[slotOf(id)];
+        Request& req = request(id);
         req.state = RequestState::kCompleted;
         in_service_ = kInvalidRequest;
-        bytes_served_[static_cast<std::size_t>(req.spec.priority)] +=
+        bytes_served_[static_cast<std::size_t>(req.priority)] +=
             req.bytes;
-        last_stream_ = req.spec.stream;
+        last_stream_ = req.stream;
         has_served_ = true;
         if (tracer_ != nullptr) traceCompletion(req, id);
         // Move out and reclaim the slot first: completion handlers may
-        // re-enter submit(), which can recycle slots_ storage.
+        // re-enter submit(), which can recycle the slab's storage.
         CompletionFn done = std::move(req.done);
         release(id);
         if (done) done(id);
@@ -411,8 +422,8 @@ Disk::ServiceParts Disk::serviceParts(const Request& r) {
   ServiceParts p;
   SimTime t = 0.0;
   const SimTime rev = params_.revolution();
-  bool prior_is_same_stream = has_served_ && last_stream_ == r.spec.stream;
-  for (const auto& e : r.spec.extents) {
+  bool prior_is_same_stream = has_served_ && last_stream_ == r.stream;
+  for (const auto& e : r.extents) {
     t += params_.command_overhead;
     p.overhead += params_.command_overhead;
     const bool sequential = e.continues_previous && prior_is_same_stream;
@@ -424,13 +435,13 @@ Disk::ServiceParts Disk::serviceParts(const Request& r) {
       }
     } else {
       const SimTime seek =
-          r.spec.seek_scale * rng_.uniform(params_.seek_min, params_.seek_max);
+          r.seek_scale * rng_.uniform(params_.seek_min, params_.seek_max);
       const SimTime rot = rng_.uniform() * rev;
       t += seek + rot;
       p.seek += seek;
       p.rotate += rot;
     }
-    const SimTime xfer = static_cast<double>(e.bytes) / r.spec.media_rate;
+    const SimTime xfer = static_cast<double>(e.bytes) / r.media_rate;
     t += xfer;
     p.transfer += xfer;
     const SimTime track_switch =

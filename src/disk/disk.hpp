@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +13,8 @@
 #include "disk/layout.hpp"
 #include "disk/params.hpp"
 #include "sim/engine.hpp"
+#include "sim/slab.hpp"
+#include "sim/small_fn.hpp"
 #include "trace/trace.hpp"
 
 namespace robustore::disk {
@@ -56,8 +59,17 @@ enum class RequestState : std::uint8_t {
 struct DiskRequestSpec {
   StreamId stream = 0;
   Priority priority = Priority::kForeground;
-  /// Physical runs to touch, in stored order.
-  std::vector<Extent> extents;
+  /// Physical runs to touch, in stored order. A view (usually
+  /// FileDiskLayout::blockExtents): submit() copies the runs into the
+  /// request's slot, so the view need only outlive the call.
+  std::span<const Extent> extents;
+  /// Re-position before the first run even if it physically continues the
+  /// previous one (the caller's predecessor block is not part of this
+  /// request sequence, e.g. RRAID-A reading every c-th stored block).
+  bool reposition_first = false;
+  /// Nonzero = serve only the leading `max_bytes` of the runs: later runs
+  /// are dropped and the last kept one is clipped (partial block reads).
+  Bytes max_bytes = 0;
   /// Media transfer rate for this request's zone, bytes/second.
   double media_rate = 0.0;
   /// Scales the seek component of positioning; background generators use
@@ -89,13 +101,24 @@ struct DiskRequestSpec {
 /// service-time multiplier (straggler). Failure aborts every live request
 /// and fires its failure callback, so clients learn immediately instead
 /// of waiting out an access timeout.
+///
+/// Request ownership: each request lives in a recycled slot of this disk
+/// that holds its runs (a copy of the submitted view, whose capacity the
+/// slot keeps across reuse) and both callbacks, stored once, inline. The
+/// slot is released on every terminal path: completion and abort move the
+/// callback out first (it may re-enter submit()), a cancelled request is
+/// released when its queue reaches it or its stream is cancelled. Queued
+/// and engine-held references are generation-tagged RequestIds, never
+/// pointers into the slab.
 class Disk {
  public:
-  using CompletionFn = std::function<void(RequestId)>;
+  /// Sized so the callback plus its RequestId fits the engine's inline
+  /// event buffer when an abort notice carries it (see abortRequest).
+  using CompletionFn = sim::SmallFn<void(RequestId), 24>;
   /// Fired (as a scheduled event, in queue order) when a request is
   /// aborted by a disk failure — at failure time for queued/in-service
   /// requests, at submit time for requests sent to an already-failed disk.
-  using FailureFn = std::function<void(RequestId)>;
+  using FailureFn = sim::SmallFn<void(RequestId), 24>;
   /// Disk-level failure notification (metadata/monitoring path).
   using FailureListener = std::function<void(std::uint32_t disk_id)>;
 
@@ -111,7 +134,7 @@ class Disk {
   /// reclaimed. Submitting to a failed disk aborts immediately (the
   /// failure callback is scheduled at the current time) and returns
   /// kInvalidRequest.
-  RequestId submit(DiskRequestSpec spec, CompletionFn done,
+  RequestId submit(const DiskRequestSpec& spec, CompletionFn done,
                    FailureFn failed = nullptr);
 
   /// Cancels a queued request. Returns false when the request already
@@ -138,7 +161,7 @@ class Disk {
   /// slots whose notification has not yet been dispatched). Stays
   /// proportional to in-flight work, never to submission history.
   [[nodiscard]] std::size_t liveRequestCount() const {
-    return slots_.size() - free_slots_.size();
+    return requests_.live();
   }
 
   /// Total bytes whose service completed, by priority class.
@@ -215,31 +238,40 @@ class Disk {
   };
 
   struct Request {
-    DiskRequestSpec spec;
+    /// The submitted runs after reposition_first/max_bytes.
+    std::vector<Extent> extents;
     CompletionFn done;
     FailureFn on_failed;
+    StreamId stream = 0;
+    double media_rate = 0.0;
+    double seek_scale = 1.0;
     Bytes bytes = 0;
+    Priority priority = Priority::kForeground;
     RequestState state = RequestState::kPending;
-    std::uint32_t generation = 0;
     /// Trace bookkeeping (only maintained while a tracer is attached).
     SimTime submitted = 0.0;
     SimTime service_start = 0.0;
     ServiceParts parts;
+
+    /// Slab release: drops the callbacks, keeps the run vector's
+    /// capacity for the slot's next request.
+    void recycle() {
+      extents.clear();
+      done = nullptr;
+      on_failed = nullptr;
+    }
   };
+  using Handle = sim::SlabHandle<Request>;
 
-  static constexpr RequestId makeId(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<RequestId>(slot) << 32) | gen;
+  /// A RequestId is the request's slab handle (slot and generation).
+  [[nodiscard]] Request* resolve(RequestId id) {
+    return requests_.get(Handle{id});
   }
-  static constexpr std::uint32_t slotOf(RequestId id) {
-    return static_cast<std::uint32_t>(id >> 32);
+  [[nodiscard]] const Request* resolve(RequestId id) const {
+    return requests_.get(Handle{id});
   }
-  static constexpr std::uint32_t genOf(RequestId id) {
-    return static_cast<std::uint32_t>(id);
-  }
-
-  [[nodiscard]] Request* resolve(RequestId id);
-  [[nodiscard]] const Request* resolve(RequestId id) const;
-  void release(RequestId id);
+  [[nodiscard]] Request& request(RequestId id) { return requests_[Handle{id}]; }
+  void release(RequestId id) { requests_.release(Handle{id}); }
   /// Marks `id` aborted and schedules its failure notification now.
   /// Aborts one request, appending its failure notification to `aborts`
   /// (failStop() schedules the whole storm in one batch).
@@ -250,6 +282,12 @@ class Disk {
   /// Pops the next live request id from `queue`, discarding cancelled and
   /// stale entries; returns kInvalidRequest when the queue empties.
   RequestId popLive(std::deque<RequestId>& queue);
+
+  using StreamQueues = std::unordered_map<StreamId, std::deque<RequestId>>;
+  /// The foreground queue of `stream`, made from a spare if it has none.
+  std::deque<RequestId>& streamQueue(StreamId stream);
+  /// Removes a stream's queue (emptying it), keeping its storage spare.
+  void retireQueue(StreamQueues::iterator it);
   void startService(RequestId id);
   /// (Re)schedules the in-service completion event at `service_end_`.
   void scheduleCompletion();
@@ -261,12 +299,15 @@ class Disk {
   DiskParams params_;
   Rng rng_;
   std::uint32_t id_;
-  std::vector<Request> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  sim::Slab<Request> requests_;
   bool failed_ = false;
   sim::EventId completion_event_{};
   std::deque<RequestId> bg_queue_;
-  std::unordered_map<StreamId, std::deque<RequestId>> fg_queues_;
+  StreamQueues fg_queues_;
+  /// Retired stream queues, map node and deque storage intact: a queue
+  /// that drains and refills every block (a depth-2 write pipeline) then
+  /// allocates nothing. Never more than the most streams queued at once.
+  std::vector<StreamQueues::node_type> spare_queues_;
   std::deque<StreamId> fg_rotation_;  // streams with queued work, RR order
   RequestId in_service_ = kInvalidRequest;
   /// Absolute completion time of the in-service request (stall-adjusted).

@@ -17,6 +17,10 @@ FileDiskLayout FileDiskLayout::generate(std::uint32_t num_blocks,
   FileDiskLayout layout;
   layout.config_ = config;
   layout.block_bytes_ = block_bytes;
+  const Bytes run_bytes =
+      static_cast<Bytes>(config.blocking_factor) * kSectorBytes;
+  layout.runs_per_block_ =
+      static_cast<std::uint32_t>((block_bytes + run_bytes - 1) / run_bytes);
   layout.zone_ = rng.uniform();
   layout.extendTo(num_blocks, rng);
   return layout;
@@ -25,23 +29,30 @@ FileDiskLayout FileDiskLayout::generate(std::uint32_t num_blocks,
 void FileDiskLayout::extendTo(std::uint32_t num_blocks, Rng& rng) {
   const Bytes run_bytes =
       static_cast<Bytes>(config_.blocking_factor) * kSectorBytes;
-  while (block_extents_.size() < num_blocks) {
+  if (num_blocks <= num_blocks_) return;
+  // Doubling keeps one-block-at-a-time growth (speculative writers, heal
+  // writes) amortised; a bulk generate() reserves exactly.
+  const std::size_t runs =
+      static_cast<std::size_t>(num_blocks) * runs_per_block_;
+  if (runs > extents_.capacity()) {
+    extents_.reserve(std::max(runs, 2 * extents_.capacity()));
+  }
+  for (; num_blocks_ < num_blocks; ++num_blocks_) {
     Bytes remaining = block_bytes_;
-    auto& extents = block_extents_.emplace_back();
     while (remaining > 0) {
       const Bytes len = std::min(remaining, run_bytes);
       const bool continues = started_ && rng.bernoulli(config_.p_seq);
-      extents.push_back(Extent{len, continues});
+      extents_.push_back(Extent{len, continues});
       started_ = true;
       remaining -= len;
     }
   }
 }
 
-const std::vector<Extent>& FileDiskLayout::blockExtents(
-    std::uint32_t b) const {
-  ROBUSTORE_EXPECTS(b < block_extents_.size(), "block index out of range");
-  return block_extents_[b];
+std::span<const Extent> FileDiskLayout::blockExtents(std::uint32_t b) const {
+  ROBUSTORE_EXPECTS(b < num_blocks_, "block index out of range");
+  return std::span<const Extent>(extents_).subspan(
+      static_cast<std::size_t>(b) * runs_per_block_, runs_per_block_);
 }
 
 }  // namespace robustore::disk

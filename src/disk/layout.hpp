@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -29,7 +30,9 @@ struct Extent {
 
 /// The on-disk layout of one file's data on one disk: the run list, the
 /// per-block grouping used by block-granular requests, and the media zone
-/// the file landed in.
+/// the file landed in. Every block has the same run count,
+/// ceil(block_bytes / run_bytes), so the runs live in one flat array and
+/// block `b` is the b-th slice of it.
 class FileDiskLayout {
  public:
   /// Lays out `num_blocks` blocks of `block_bytes` each.
@@ -42,14 +45,13 @@ class FileDiskLayout {
   /// enough commits have landed (§5.3.2).
   void extendTo(std::uint32_t num_blocks, Rng& rng);
 
-  [[nodiscard]] std::uint32_t numBlocks() const {
-    return static_cast<std::uint32_t>(block_extents_.size());
-  }
+  [[nodiscard]] std::uint32_t numBlocks() const { return num_blocks_; }
   [[nodiscard]] Bytes blockBytes() const { return block_bytes_; }
 
   /// Extents making up stored block `b` (indices into this layout's run
-  /// sequence are implicit: blocks are stored in order).
-  [[nodiscard]] const std::vector<Extent>& blockExtents(std::uint32_t b) const;
+  /// sequence are implicit: blocks are stored in order). The view is
+  /// invalidated by extendTo(); callers copy what they keep.
+  [[nodiscard]] std::span<const Extent> blockExtents(std::uint32_t b) const;
 
   /// Zone position in [0, 1]; 0 = innermost (slowest), 1 = outermost.
   [[nodiscard]] double zone() const { return zone_; }
@@ -61,7 +63,9 @@ class FileDiskLayout {
   Bytes block_bytes_ = 0;
   double zone_ = 0.5;
   bool started_ = false;  // first run of the file is always positioned
-  std::vector<std::vector<Extent>> block_extents_;
+  std::uint32_t runs_per_block_ = 0;
+  std::uint32_t num_blocks_ = 0;
+  std::vector<Extent> extents_;  // num_blocks_ * runs_per_block_ runs
 };
 
 }  // namespace robustore::disk

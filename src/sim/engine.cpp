@@ -64,7 +64,7 @@ void Engine::freeNode(std::uint32_t idx) {
   free_nodes_.push_back(idx);
 }
 
-EventId Engine::insert(SimTime when, SmallFn fn) {
+EventId Engine::insert(SimTime when, SmallFn<> fn) {
   const std::uint32_t idx = allocNode();
   Node& node = nodes_[idx];
   node.time = when;
@@ -323,7 +323,7 @@ std::size_t Engine::runLoop(SimTime deadline) {
       now_ = top.time;
       if (time_observer_) time_observer_(now_);
     }
-    SmallFn fn = std::move(nodes_[top.idx].fn);
+    SmallFn<> fn = std::move(nodes_[top.idx].fn);
     freeNode(top.idx);
     --live_events_;
     {

@@ -91,7 +91,7 @@ struct EngineStats {
 /// proportional to *pending* events even across tens of millions.
 class Engine {
  public:
-  using Callback = SmallFn;
+  using Callback = SmallFn<>;
 
   /// Schedules `cb` to run `delay` seconds from now. Negative delays clamp
   /// to "now" (they arise from zero-length transfers rounding down).
@@ -183,7 +183,7 @@ class Engine {
     std::uint32_t next = 0;
     std::uint32_t generation = 0;
     NodeState state = NodeState::kFree;
-    SmallFn fn;
+    SmallFn<> fn;
   };
 
   /// Entry in the current-bucket heap and the overflow tier. Carries
@@ -215,7 +215,7 @@ class Engine {
 
   std::uint32_t allocNode();
   void freeNode(std::uint32_t idx);
-  EventId insert(SimTime when, SmallFn fn);
+  EventId insert(SimTime when, SmallFn<> fn);
   /// Files a freshly stamped node into the tier its ordinal selects.
   void place(std::uint32_t idx);
   void pushCurrent(HeapEntry entry);

@@ -7,28 +7,38 @@
 
 namespace robustore::sim {
 
-/// Move-only type-erased `void()` callable with a small-object buffer.
+template <typename Sig = void(), std::size_t InlineBytes = 48>
+class SmallFn;
+
+/// Move-only type-erased callable with a small-object buffer:
+/// `SmallFn<>` is a `void()` callback (the engine's event type),
+/// `SmallFn<void(bool)>` a delivery callback, and so on.
 ///
-/// The engine's hot path schedules millions of short-lived callbacks per
-/// trial; `std::function` heap-allocates every capture larger than its
-/// (implementation-defined, typically 16-byte) internal buffer and drags
-/// a copy-constructor requirement along. SmallFn stores captures up to
-/// kInlineBytes in place — covering every per-event lambda in the disk,
-/// net, and client layers — and only falls back to the heap for the rare
-/// large capture (e.g. a whole BlockRead plus two std::functions). It is
-/// move-only, so move-only captures work too.
+/// The engine schedules millions of short-lived callbacks per trial, and
+/// the disk, server and client layers store one or two callbacks per
+/// block request; `std::function` heap-allocates every capture larger
+/// than its (implementation-defined, typically 16-byte) internal buffer
+/// and drags a copy-constructor requirement along. SmallFn stores
+/// captures up to `InlineBytes` in place and only falls back to the heap
+/// for the rare large capture (a repair job's nested settle lambdas).
+/// Every per-request path stores a small handle (`[this, handle]`)
+/// instead of the request, so request callbacks stay inline. It is
+/// move-only, so move-only captures work too; move a SmallFn, never wrap
+/// it in another copyable callback.
 ///
 /// Emptiness mirrors std::function: default-constructed SmallFn is empty
 /// and falsy, and constructing from an *empty* function-like object
 /// (null function pointer, empty std::function) yields an empty SmallFn
 /// rather than one that would throw on invocation.
-class SmallFn {
+template <typename R, typename... Args, std::size_t InlineBytes>
+class SmallFn<R(Args...), InlineBytes> {
  public:
-  /// Sized so every per-event capture in the simulator's own layers
-  /// ([this, id], [this, index], one std::function plus a couple of
-  /// words) stays inline. 48 bytes + ops pointer keeps the slab node
-  /// cache-friendly.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// The engine's default (48 bytes + ops pointer) keeps every per-event
+  /// capture in the simulator's own layers ([this, id], [this, index], a
+  /// request callback plus its id) inline and the slab node
+  /// cache-friendly. Request records that store callbacks pick the size
+  /// their largest capture needs.
+  static constexpr std::size_t kInlineBytes = InlineBytes;
 
   SmallFn() = default;
   SmallFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -36,7 +46,7 @@ class SmallFn {
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (std::is_constructible_v<bool, const Fn&>) {
@@ -67,7 +77,9 @@ class SmallFn {
   SmallFn& operator=(const SmallFn&) = delete;
   ~SmallFn() { reset(); }
 
-  void operator()() { ops_->invoke(buf_); }
+  R operator()(Args... args) {
+    return ops_->invoke(buf_, std::forward<Args>(args)...);
+  }
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
   void reset() {
@@ -79,7 +91,7 @@ class SmallFn {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    R (*invoke)(void*, Args&&...);
     /// Move-constructs into `dst` from `src`, then destroys `src`.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
@@ -101,9 +113,22 @@ class SmallFn {
     return *std::launder(reinterpret_cast<Fn**>(p));
   }
 
+  /// Calls `f`, discarding its result when the signature returns void
+  /// (a void callback may wrap a callable that returns something).
+  template <typename Fn>
+  static R call(Fn& f, Args&&... args) {
+    if constexpr (std::is_void_v<R>) {
+      f(std::forward<Args>(args)...);
+    } else {
+      return f(std::forward<Args>(args)...);
+    }
+  }
+
   template <typename Fn>
   static constexpr Ops kInlineOps = {
-      [](void* p) { (*inlinePtr<Fn>(p))(); },
+      [](void* p, Args&&... args) -> R {
+        return call(*inlinePtr<Fn>(p), std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) {
         Fn* s = inlinePtr<Fn>(src);
         ::new (dst) Fn(std::move(*s));
@@ -113,7 +138,9 @@ class SmallFn {
   };
   template <typename Fn>
   static constexpr Ops kHeapOps = {
-      [](void* p) { (*heapPtr<Fn>(p))(); },
+      [](void* p, Args&&... args) -> R {
+        return call(*heapPtr<Fn>(p), std::forward<Args>(args)...);
+      },
       [](void* dst, void* src) { ::new (dst) Fn*(heapPtr<Fn>(src)); },
       [](void* p) { delete heapPtr<Fn>(p); },
   };

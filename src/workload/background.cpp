@@ -48,13 +48,14 @@ void BackgroundGenerator::emit() {
   const auto sectors = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(rng_.exponential(config_.mean_sectors)));
 
+  const disk::Extent run{sectors * kSectorBytes, false};
   disk::DiskRequestSpec spec;
   spec.stream = stream();
   spec.priority = disk::Priority::kBackground;
-  spec.extents = {disk::Extent{sectors * kSectorBytes, false}};
+  spec.extents = std::span(&run, 1);
   spec.media_rate = target_->mediaRate(rng_.uniform());
   spec.seek_scale = 0.0;  // locality-friendly: rotation + command only
-  target_->submit(std::move(spec), nullptr);
+  target_->submit(spec, nullptr);
   ++issued_;
   scheduleNext();
 }

@@ -41,6 +41,26 @@ std::vector<std::uint8_t> randomData(std::size_t n, Rng& rng) {
   return v;
 }
 
+TEST(BlockPool, BuffersArePageAligned) {
+  // Every buffer is its own whole-page mapping, cold or reused, whatever
+  // the block size (a data-plane block, one page, an odd size).
+  const auto aligned = [](const BlockBuffer& b) {
+    return reinterpret_cast<std::uintptr_t>(b.get()) % 4096 == 0;
+  };
+  for (const Bytes size : {Bytes{256 * kKiB}, Bytes{4 * kKiB}, Bytes{1000}}) {
+    dropPool(size);
+    std::vector<BlockBuffer> held;
+    for (int i = 0; i < 3; ++i) {
+      held.push_back(acquireBlock(size));
+      EXPECT_TRUE(aligned(held.back())) << "cold, " << size << " bytes";
+      std::memset(held.back().get(), kPoison, size);  // every byte writable
+    }
+    held.clear();  // into the pool
+    const BlockBuffer warm = acquireBlock(size);
+    EXPECT_TRUE(aligned(warm)) << "warm, " << size << " bytes";
+  }
+}
+
 TEST(BlockPool, ReleasedBufferIsTheNextAcquired) {
   constexpr Bytes kSize = 4 * kKiB;
   dropPool(kSize);

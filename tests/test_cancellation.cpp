@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "client/raid0.hpp"
 #include "client/robustore_scheme.hpp"
 #include "client/rraid.hpp"
@@ -12,6 +14,29 @@
 
 namespace robustore::client {
 namespace {
+
+/// Exposes the base scheme's tracked-read primitives on a striped file.
+class ProbeScheme final : public Scheme {
+ public:
+  using Scheme::Scheme;
+  using Scheme::cancelTracked;
+  using Scheme::finish;
+  using Scheme::issueTrackedRead;
+
+  [[nodiscard]] SchemeKind kind() const override { return SchemeKind::kRaid0; }
+  [[nodiscard]] StoredFile planFile(const AccessConfig& config,
+                                    std::span<const std::uint32_t> disks,
+                                    const LayoutPolicy& policy,
+                                    Rng& rng) override {
+    return Raid0Scheme(cluster()).planFile(config, disks, policy, rng);
+  }
+
+ protected:
+  void startRead(Session&, StoredFile&, const AccessConfig&) override {}
+  void startWrite(Session&, const AccessConfig&,
+                  std::span<const std::uint32_t>, const LayoutPolicy&, Rng&,
+                  StoredFile&) override {}
+};
 
 class CancellationFixture : public ::testing::Test {
  protected:
@@ -121,6 +146,94 @@ TEST_F(CancellationFixture, RepeatedAccessesDoNotLeakState) {
       EXPECT_LT(m.network_bytes, 2 * first_bytes + access.dataBytes());
     }
   }
+}
+
+TEST_F(CancellationFixture, StaleTrackedHandleResolvesToNothingAfterSlotReuse) {
+  Cluster cluster(engine, cluster_config, rng.fork(7));
+  ProbeScheme scheme(cluster);
+  Rng trial(7);
+  auto file = scheme.planFile(access, allDisks(), policy, trial);
+  Scheme::Session session;
+  session.stream = cluster.nextStream();
+  session.on_complete = [] {};
+  Scheme::TrackedHandle first;
+  Scheme::TrackedHandle next;
+  int delivered = 0;
+  first = scheme.issueTrackedRead(
+      session, file, 0, 0, /*force_position=*/false, access, [&](bool) {
+        // `first` settled before its block was handed over, so the next
+        // read takes its slot; the old handle must not reach it.
+        next = scheme.issueTrackedRead(session, file, 0, 1, false, access,
+                                       [&](bool) { ++delivered; });
+        scheme.cancelTracked(session, first);
+      });
+  engine.run();
+  ASSERT_EQ(next.value >> 32, first.value >> 32);  // the slot was reused
+  EXPECT_FALSE(next == first);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(session.live_requests, 0u);
+  EXPECT_TRUE(session.tracked_reads.empty());
+  EXPECT_EQ(scheme.liveTrackedReads(), 0u);
+}
+
+TEST_F(CancellationFixture, AbortedTrackedReadsReleaseTheirCallbacksAtOnce) {
+  Cluster cluster(engine, cluster_config, rng.fork(8));
+  ProbeScheme scheme(cluster);
+  Rng trial(8);
+  auto file = scheme.planFile(access, allDisks(), policy, trial);
+  Scheme::Session session;
+  session.stream = cluster.nextStream();
+  session.on_complete = [] {};
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  int calls = 0;
+  for (std::uint32_t pos = 0; pos < 4; ++pos) {
+    scheme.issueTrackedRead(
+        session, file, 0, pos, false, access,
+        [&calls, sentinel](bool) { ++calls; },
+        [&calls, sentinel] { ++calls; });
+  }
+  sentinel.reset();
+  // One read in service, three queued on the placement's disk.
+  engine.runUntil(cluster_config.server.round_trip);
+  ASSERT_EQ(session.tracked_reads.size(), 4u);
+  scheme.abortRead(session);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(session.tracked_reads.empty());
+  EXPECT_EQ(scheme.liveTrackedReads(), 0u);
+  engine.run();
+  EXPECT_EQ(calls, 0);
+  server::StorageServer& srv = cluster.serverOfDisk(file.placements[0].global_disk);
+  EXPECT_EQ(srv.liveReadCount(), 0u);
+}
+
+TEST_F(CancellationFixture, ReadBackingOffWhenItsAccessEndsSettles) {
+  // A failed attempt waits out a backoff before its re-issue. If the
+  // access finishes meanwhile, no attempt is in flight to settle the
+  // read later, so the retry itself must.
+  Cluster cluster(engine, cluster_config, rng.fork(9));
+  ProbeScheme scheme(cluster);
+  Rng trial(9);
+  auto file = scheme.planFile(access, allDisks(), policy, trial);
+  cluster.disk(file.placements[0].global_disk).failStop();
+  Scheme::Session session;
+  session.stream = cluster.nextStream();
+  session.on_complete = [] {};
+  int calls = 0;
+  scheme.issueTrackedRead(session, file, 0, 0, false, access,
+                          [&](bool) { ++calls; }, [&] { ++calls; });
+  // The failure notice arrives after a round trip; the re-issue is then
+  // reissue_delay away.
+  engine.runUntil(cluster_config.server.round_trip +
+                  access.reissue_delay / 2);
+  ASSERT_EQ(session.failures_observed, 1u);
+  ASSERT_EQ(session.live_requests, 1u);
+  scheme.finish(session);
+  engine.run();
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(session.live_requests, 0u);
+  EXPECT_TRUE(session.tracked_reads.empty());
+  EXPECT_EQ(scheme.liveTrackedReads(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -243,6 +244,129 @@ TEST(DiskCalibration, BandwidthGridShape) {
   EXPECT_GT(fast_sequential, fast_scattered);
   EXPECT_GT(slow_sequential, slow_scattered);
   EXPECT_GT(fast_sequential / slow_scattered, 30.0);
+}
+
+// --- Request edits: reposition_first / max_bytes ----------------------------
+
+/// The edit the storage server used to make to a copy of a block's runs
+/// before submitting it, kept here as the reference the disk's
+/// reposition_first/max_bytes must reproduce bit for bit.
+std::vector<Extent> editedRuns(std::span<const Extent> runs,
+                               bool reposition_first, Bytes max_bytes) {
+  std::vector<Extent> out(runs.begin(), runs.end());
+  if (reposition_first) out.front().continues_previous = false;
+  if (max_bytes != 0) {
+    Bytes remaining = max_bytes;
+    std::size_t keep = 0;
+    for (auto& e : out) {
+      if (remaining == 0) break;
+      if (e.bytes > remaining) e.bytes = remaining;
+      remaining -= e.bytes;
+      ++keep;
+    }
+    out.resize(keep);
+  }
+  return out;
+}
+
+struct BlockRead {
+  std::uint32_t block;
+  bool reposition_first;
+  Bytes max_bytes;
+};
+
+struct Served {
+  std::vector<SimTime> done;
+  Bytes bytes = 0;
+};
+
+/// Serves `reads` in order on one stream of a fresh disk: through the
+/// spec's edit fields, or (`edited`) through runs edited beforehand.
+Served serveReads(const FileDiskLayout& layout,
+                  const std::vector<BlockRead>& reads, bool edited) {
+  sim::Engine engine;
+  Disk d(engine, DiskParams{}, Rng{42});
+  Served out;
+  std::vector<std::vector<Extent>> runs;
+  runs.reserve(reads.size());
+  for (const BlockRead& r : reads) {
+    DiskRequestSpec spec;
+    spec.stream = 7;
+    spec.media_rate = d.mediaRate(layout.zone());
+    if (edited) {
+      runs.push_back(editedRuns(layout.blockExtents(r.block),
+                                r.reposition_first, r.max_bytes));
+      spec.extents = runs.back();
+    } else {
+      spec.extents = layout.blockExtents(r.block);
+      spec.reposition_first = r.reposition_first;
+      spec.max_bytes = r.max_bytes;
+    }
+    d.submit(spec, [&](RequestId) { out.done.push_back(engine.now()); });
+  }
+  engine.run();
+  out.bytes = d.bytesServed(Priority::kForeground);
+  return out;
+}
+
+TEST(DiskRequestEdits, ForcedRepositionMatchesTheEditedRuns) {
+  // RRAID-A's pattern: every run continues its predecessor on the
+  // platter, but the reader skips stored blocks, so the first run of a
+  // block after a gap must re-position.
+  Rng rng{3};
+  const auto layout =
+      FileDiskLayout::generate(8, 256 * kKiB, LayoutConfig{128, 1.0}, rng);
+  ASSERT_TRUE(layout.blockExtents(2).front().continues_previous);
+  const std::vector<BlockRead> reads = {
+      {0, false, 0}, {2, true, 0}, {3, false, 0}, {5, true, 0}, {7, true, 0}};
+  const Served flags = serveReads(layout, reads, /*edited=*/false);
+  const Served reference = serveReads(layout, reads, /*edited=*/true);
+  ASSERT_EQ(flags.done.size(), reads.size());
+  EXPECT_EQ(flags.done, reference.done);  // bit-identical timestamps
+  EXPECT_EQ(flags.bytes, reference.bytes);
+  // The flag matters: unforced, the same reads finish at other times.
+  std::vector<BlockRead> unforced = reads;
+  for (auto& r : unforced) r.reposition_first = false;
+  EXPECT_NE(serveReads(layout, unforced, false).done, flags.done);
+}
+
+TEST(DiskRequestEdits, PartialReadMatchesTheClippedRuns) {
+  // A regenerating-repair helper: random access (forced re-position) to
+  // the leading bytes of a block — mid-run, on a run boundary, and the
+  // whole block.
+  Rng rng{4};
+  const auto layout =
+      FileDiskLayout::generate(6, 256 * kKiB, LayoutConfig{128, 0.5}, rng);
+  const std::vector<BlockRead> reads = {{1, true, 100 * kKiB},
+                                        {2, true, 64 * kKiB},
+                                        {3, false, 200 * kKiB},
+                                        {4, true, 0},
+                                        {5, true, 1 * kKiB}};
+  const Served flags = serveReads(layout, reads, /*edited=*/false);
+  const Served reference = serveReads(layout, reads, /*edited=*/true);
+  ASSERT_EQ(flags.done.size(), reads.size());
+  EXPECT_EQ(flags.done, reference.done);
+  EXPECT_EQ(flags.bytes,
+            (100 + 64 + 200 + 256 + 1) * kKiB);  // clipped, not whole
+  EXPECT_EQ(flags.bytes, reference.bytes);
+}
+
+TEST(DiskRequestEdits, SubmitCopiesTheRunsItIsGiven) {
+  // The spec is a view: the disk keeps its own copy, so the caller's
+  // storage may change (a layout growing under a speculative writer)
+  // while the request is queued.
+  sim::Engine engine;
+  Disk d(engine, DiskParams{}, Rng{5});
+  std::vector<Extent> runs = {{64 * kKiB, false}, {64 * kKiB, false}};
+  DiskRequestSpec spec;
+  spec.stream = 1;
+  spec.extents = runs;
+  spec.media_rate = d.mediaRate(0.5);
+  d.submit(spec, nullptr);  // in service
+  d.submit(spec, nullptr);  // queued
+  runs.assign(16, Extent{kMiB, true});
+  engine.run();
+  EXPECT_EQ(d.bytesServed(Priority::kForeground), 4 * 64 * kKiB);
 }
 
 }  // namespace

@@ -25,9 +25,10 @@ RunningStats positionedServiceTimes(const DiskParams& params, Bytes bytes,
   SimTime last = 0;
   std::function<void()> submit = [&] {
     if (stats.count() >= count) return;
+    const Extent run{bytes, false};
     DiskRequestSpec spec;
     spec.stream = 1;
-    spec.extents = {Extent{bytes, false}};
+    spec.extents = std::span(&run, 1);
     spec.media_rate = d.mediaRate(0.5);
     d.submit(std::move(spec), [&](RequestId) {
       stats.add(engine.now() - last);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -189,6 +191,157 @@ TEST_F(ServerFixture, NetworkBytesPerStreamAreSeparate) {
   EXPECT_EQ(srv.networkBytes(10), 256 * kKiB);
   EXPECT_EQ(srv.networkBytes(11), 256 * kKiB);
   EXPECT_EQ(srv.networkBytes(12), 0u);
+}
+
+// --- Request records: lifetime and cancel semantics ------------------------
+
+/// A read of `block` on disk 0 of stream 1.
+StorageServer::BlockRead blockRead(const disk::FileDiskLayout& layout,
+                                   std::uint32_t block) {
+  StorageServer::BlockRead req;
+  req.stream = 1;
+  req.cache_key = static_cast<std::uint64_t>(block) << 20;
+  req.disk_index = 0;
+  req.layout = &layout;
+  req.layout_block = block;
+  return req;
+}
+
+TEST_F(ServerFixture, ReadCancelledWhileQueuedReleasesBothCallbacksAtOnce) {
+  // The disk drops a request cancelled in its queue without calling back,
+  // so the cancel itself must free the read's record. A record that kept
+  // its callbacks would keep whatever they capture (a tracked read, its
+  // scheme state) alive with it.
+  StorageServer srv = makeServer();
+  const auto layout = makeLayout(2);
+  int delivered = 0;
+  int failed = 0;
+  srv.readBlock(blockRead(layout, 0), [&](bool) { ++delivered; });
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  const auto queued = srv.readBlock(
+      blockRead(layout, 1),
+      [&delivered, sentinel](bool) { ++delivered; },
+      [&failed, sentinel] { ++failed; });
+  sentinel.reset();
+  // Both requests reach the filer; the first starts service, the second
+  // waits in the disk queue.
+  engine.runUntil(srv.link().oneWayLatency() + 0.1 * kMilliseconds);
+  ASSERT_TRUE(srv.disk(0).busy());
+  ASSERT_EQ(srv.disk(0).queueDepth(), 1u);
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(srv.cancelRead(queued));
+  EXPECT_TRUE(watch.expired());  // at once, not at a later event
+  EXPECT_EQ(srv.liveReadCount(), 1u);
+  engine.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(srv.liveReadCount(), 0u);
+  EXPECT_EQ(srv.disk(0).liveRequestCount(), 0u);
+}
+
+TEST_F(ServerFixture, ReadCancelledOnItsWayReleasesBothCallbacksAtOnce) {
+  StorageServer srv = makeServer();
+  const auto layout = makeLayout(1);
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  int calls = 0;
+  const auto h = srv.readBlock(
+      blockRead(layout, 0), [&calls, sentinel](bool) { ++calls; },
+      [&calls, sentinel] { ++calls; });
+  sentinel.reset();
+  EXPECT_TRUE(srv.cancelRead(h));
+  EXPECT_TRUE(watch.expired());
+  engine.run();
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(srv.disk(0).bytesServed(disk::Priority::kForeground), 0u);
+  EXPECT_EQ(srv.liveReadCount(), 0u);
+}
+
+TEST_F(ServerFixture, ReadCancelledInServiceStillDelivers) {
+  // The disk cannot take back a request it is serving: the cancel reports
+  // success (the client re-issues), yet the block still arrives, and the
+  // client takes whichever attempt lands first.
+  StorageServer srv = makeServer();
+  const auto layout = makeLayout(1);
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  int delivered = 0;
+  const auto h = srv.readBlock(blockRead(layout, 0),
+                               [&delivered, sentinel](bool) { ++delivered; });
+  sentinel.reset();
+  engine.runUntil(srv.link().oneWayLatency() + 0.1 * kMilliseconds);
+  ASSERT_TRUE(srv.disk(0).busy());
+  EXPECT_TRUE(srv.cancelRead(h));
+  EXPECT_TRUE(srv.cancelRead(h));  // idempotent
+  EXPECT_FALSE(watch.expired());   // the delivery is still owed
+  engine.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_FALSE(srv.cancelRead(h));  // delivered: nothing left to cancel
+  EXPECT_EQ(srv.liveReadCount(), 0u);
+}
+
+TEST_F(ServerFixture, StaleReadHandleResolvesToNothingAfterSlotReuse) {
+  StorageServer srv = makeServer();
+  const auto layout = makeLayout(2);
+  int first = 0;
+  int second = 0;
+  const auto a = srv.readBlock(blockRead(layout, 0), [&](bool) { ++first; });
+  engine.run();
+  ASSERT_EQ(first, 1);
+  const auto b = srv.readBlock(blockRead(layout, 1), [&](bool) { ++second; });
+  ASSERT_EQ(a.value >> 32, b.value >> 32);  // the same slot, reused
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(srv.cancelRead(a));  // must not reach the new read
+  engine.run();
+  EXPECT_EQ(second, 1);
+}
+
+TEST_F(ServerFixture, StreamCancelNoticeRidesTheFailureChannel) {
+  StorageServer srv = makeServer();
+  const auto layout = makeLayout(3);
+  int delivered = 0;
+  int failed = 0;
+  for (std::uint32_t b = 0; b < 3; ++b) {
+    srv.readBlock(blockRead(layout, b), [&](bool) { ++delivered; },
+                  [&] { ++failed; });
+  }
+  engine.runUntil(srv.link().oneWayLatency() + 0.1 * kMilliseconds);
+  srv.cancelStream(1);
+  EXPECT_EQ(srv.liveReadCount(), 3u);  // the notices are still on the way
+  engine.run();
+  EXPECT_EQ(delivered, 1);  // in service at the cancel
+  EXPECT_EQ(failed, 2);
+  EXPECT_EQ(srv.liveReadCount(), 0u);
+}
+
+TEST_F(ServerFixture, WriteRecordsReleaseTheirCallbacks) {
+  StorageServer srv = makeServer();
+  const auto layout = makeLayout(2);
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  int acked = 0;
+  int failed = 0;
+  StorageServer::BlockWrite req;
+  req.stream = 2;
+  req.disk_index = 1;
+  req.layout = &layout;
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    req.layout_block = b;
+    srv.writeBlock(req, [&acked, sentinel] { ++acked; },
+                   [&failed, sentinel] { ++failed; });
+  }
+  sentinel.reset();
+  // Both writes die with their disk, one in service, one queued.
+  engine.runUntil(srv.link().oneWayLatency() + 0.1 * kMilliseconds);
+  srv.disk(1).failStop();
+  EXPECT_EQ(srv.liveWriteCount(), 2u);
+  engine.run();
+  EXPECT_EQ(acked, 0);
+  EXPECT_EQ(failed, 2);
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(srv.liveWriteCount(), 0u);
 }
 
 }  // namespace
